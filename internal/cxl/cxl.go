@@ -38,6 +38,12 @@ type Device struct {
 	arenas    map[string]*Arena
 	metaBytes int64
 
+	// epoch counts changes to the live arenas and the frames they
+	// track (NewArena, TrackFrame, Release); occ caches Occupancy's
+	// frame-ownership index against it (see occupancy.go).
+	epoch uint64
+	occ   occIndex
+
 	// dedup is the content-addressed frame index (see dedup.go).
 	dedup map[uint64][]dedupEntry
 	// Dedup counts frame-dedup hits, misses, and fabric bytes saved.
@@ -118,6 +124,7 @@ func (d *Device) NewArena(name string) (*Arena, error) {
 	}
 	a := &Arena{dev: d, name: name, objs: make([]arenaObj, 1)} // objs[0] = nil sentinel
 	d.arenas[name] = a
+	d.epoch++
 	return a, nil
 }
 
@@ -273,6 +280,7 @@ func (a *Arena) TrackFrame(f *memsim.Frame) {
 		panic(fmt.Sprintf("cxl: TrackFrame on released arena %q", a.name))
 	}
 	a.frames = append(a.frames, f)
+	a.dev.epoch++
 }
 
 // ForEachFrame visits every frame reference the arena owns, in tracking
@@ -314,6 +322,7 @@ func (a *Arena) Release() {
 	a.closed = true
 	a.dev.metaBytes -= a.bytes
 	delete(a.dev.arenas, a.name)
+	a.dev.epoch++
 	for _, f := range a.frames {
 		f.Pool().Put(f)
 	}

@@ -88,30 +88,83 @@ type DeviceOccupancy struct {
 // the test harness enforces).
 func (o DeviceOccupancy) Total() int64 { return o.Meta + o.ExclusiveFrames + o.SharedFrames }
 
+// occEntry is one distinct frame tracked on the device: how many
+// references the device's arenas hold on it, and the one arena holding
+// them all (nil once a second arena tracks the frame).
+type occEntry struct {
+	frame *memsim.Frame
+	held  int
+	owner *Arena
+}
+
+// occIndex is the device's cached frame-ownership index. The arena
+// set and the frames it tracks change only through NewArena,
+// TrackFrame and Release, each of which bumps Device.epoch; a frame's
+// live reference count also changes through clone Get/Put, so
+// Occupancy reads it at every call rather than caching it. The zero
+// index is current for a fresh device: epoch 0, nothing tracked.
+type occIndex struct {
+	epoch   uint64 // Device.epoch the entries were built at
+	entries []occEntry
+	pos     map[*memsim.Frame]int // frame → index in entries (build scratch)
+}
+
+// rebuild re-derives the distinct tracked frames from the live arenas,
+// reusing the previous build's storage.
+func (x *occIndex) rebuild(d *Device) {
+	x.entries = x.entries[:0]
+	if x.pos == nil {
+		n := 0
+		for _, a := range d.arenas {
+			n += len(a.frames)
+		}
+		x.pos = make(map[*memsim.Frame]int, n)
+	}
+	clear(x.pos)
+	for _, a := range d.arenas {
+		for _, f := range a.frames {
+			i, ok := x.pos[f]
+			if !ok {
+				x.pos[f] = len(x.entries)
+				x.entries = append(x.entries, occEntry{frame: f, held: 1, owner: a})
+				continue
+			}
+			e := &x.entries[i]
+			e.held++
+			if e.owner != a {
+				e.owner = nil
+			}
+		}
+	}
+	x.epoch = d.epoch
+}
+
 // Occupancy summarizes the device's live arenas: how much of the
 // occupied capacity each image could give back versus how much is
 // dedup-shared. For workloads whose device frames are all arena-owned
 // (the invariant the test harness enforces), Meta + ExclusiveFrames +
 // SharedFrames equals UsedBytes.
+//
+// A frame is exclusive when a single arena owns every live reference
+// on it; every other tracked frame is shared and counts once. The
+// distinct-frame index is rebuilt only after the arena set changed
+// (see occIndex); between such changes a call is one allocation-free
+// pass over the distinct frames.
 func (d *Device) Occupancy() DeviceOccupancy {
-	var out DeviceOccupancy
-	shared := make(map[*memsim.Frame]bool)
-	ps := int64(d.p.PageSize)
-	d.ForEachArena(func(a *Arena) {
-		out.Arenas++
+	out := DeviceOccupancy{Arenas: len(d.arenas)}
+	for _, a := range d.arenas {
 		out.Meta += a.bytes
-		held := make(map[*memsim.Frame]int, len(a.frames))
-		for _, f := range a.frames {
-			held[f]++
+	}
+	if d.occ.epoch != d.epoch {
+		d.occ.rebuild(d)
+	}
+	ps := int64(d.p.PageSize)
+	for _, e := range d.occ.entries {
+		if e.owner != nil && e.frame.Refs() == e.held {
+			out.ExclusiveFrames += ps
+		} else {
+			out.SharedFrames += ps
 		}
-		for f, n := range held {
-			if f.Refs() == n {
-				out.ExclusiveFrames += ps
-			} else {
-				shared[f] = true
-			}
-		}
-	})
-	out.SharedFrames = int64(len(shared)) * ps
+	}
 	return out
 }

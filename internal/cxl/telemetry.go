@@ -6,22 +6,10 @@ import (
 )
 
 // RegisterTelemetry registers the device's gauges and counters against
-// reg. Occupancy is O(arenas × frames) to compute, so the exclusive
-// and shared probes share one walk memoized per sample instant.
+// reg.
 func (d *Device) RegisterTelemetry(reg *telemetry.Registry) {
 	if !reg.Enabled() {
 		return
-	}
-	var (
-		occAt des.Time = -1
-		occ   DeviceOccupancy
-	)
-	occupancy := func(now des.Time) DeviceOccupancy {
-		if now != occAt {
-			occ = d.Occupancy()
-			occAt = now
-		}
-		return occ
 	}
 	reg.Gauge("cxl_used_bytes", "bytes allocated on the shared CXL device (data plus metadata)",
 		func(des.Time) float64 { return float64(d.UsedBytes()) })
@@ -32,9 +20,9 @@ func (d *Device) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.Gauge("cxl_arenas", "sealed plus staged checkpoint arenas resident on the device",
 		func(des.Time) float64 { return float64(d.Arenas()) })
 	reg.Gauge("cxl_exclusive_bytes", "frame bytes referenced by exactly one checkpoint",
-		func(now des.Time) float64 { return float64(occupancy(now).ExclusiveFrames) })
+		func(des.Time) float64 { return float64(d.Occupancy().ExclusiveFrames) })
 	reg.Gauge("cxl_shared_bytes", "frame bytes shared by two or more checkpoints via dedup",
-		func(now des.Time) float64 { return float64(occupancy(now).SharedFrames) })
+		func(des.Time) float64 { return float64(d.Occupancy().SharedFrames) })
 	reg.Gauge("cxl_dedup_index", "live entries in the content-addressed frame index",
 		func(des.Time) float64 { return float64(d.DedupIndexLen()) })
 	reg.Gauge("cxl_dedup_hit_rate", "fraction of frame allocations served by an existing frame",

@@ -3,15 +3,23 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cxlfork/internal/des"
 )
 
 // LatencyRecorder collects latency samples and reports percentiles.
+//
+// samples[:nsorted] is kept sorted. Samples recorded since the last
+// query form an unsorted tail; the next query sorts only that tail and
+// merges it into the prefix, so a recorder polled at every telemetry
+// tick pays for the samples added since the previous tick, not for its
+// whole history.
 type LatencyRecorder struct {
 	samples []des.Time
-	sorted  bool
+	nsorted int
+	scratch []des.Time // merge buffer, reused across queries
 	sum     des.Time
 }
 
@@ -21,7 +29,6 @@ func NewLatencyRecorder() *LatencyRecorder { return &LatencyRecorder{} }
 // Record adds a sample.
 func (r *LatencyRecorder) Record(d des.Time) {
 	r.samples = append(r.samples, d)
-	r.sorted = false
 	r.sum += d
 }
 
@@ -45,10 +52,7 @@ func (r *LatencyRecorder) Percentile(p float64) des.Time {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
+	r.Presort()
 	if p <= 0 {
 		return r.samples[0]
 	}
@@ -73,10 +77,7 @@ func (r *LatencyRecorder) Quantile(p float64) des.Time {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
+	r.Presort()
 	if len(r.samples) == 1 {
 		return r.samples[0]
 	}
@@ -96,16 +97,39 @@ func (r *LatencyRecorder) Quantile(p float64) des.Time {
 	return des.Time(math.Round(a + frac*(b-a)))
 }
 
-// Presort sorts the sample buffer ahead of percentile queries, so a
-// worker pool can pay the O(n log n) for many recorders in parallel
-// before a sequential summary pass reads them. Sorting is the
-// recorders' only deferred work; after Presort, Percentile and
-// Quantile are read-only until the next Record.
+// Presort brings the sample buffer into order ahead of percentile
+// queries, so a worker pool can pay for many recorders' sorting in
+// parallel before a sequential summary pass reads them; Percentile and
+// Quantile call it themselves, and after it they are read-only until
+// the next Record.
+//
+// Only the tail recorded since the buffer was last ordered is sorted.
+// It is then merged into the sorted prefix in place, from the back,
+// through the reused scratch buffer: walking the tail from its largest
+// sample down, each step moves the run of prefix samples above that
+// sample to its final place in one copy, so only prefix samples larger
+// than the tail's minimum move, each once.
 func (r *LatencyRecorder) Presort() {
-	if !r.sorted && len(r.samples) > 0 {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+	n := len(r.samples)
+	if r.nsorted == n {
+		return
 	}
-	r.sorted = true
+	tail := r.samples[r.nsorted:]
+	slices.Sort(tail)
+	if r.nsorted > 0 && r.samples[r.nsorted-1] > tail[0] {
+		r.scratch = append(r.scratch[:0], tail...)
+		i, k := r.nsorted, n
+		for j := len(r.scratch) - 1; j >= 0; j-- {
+			v := r.scratch[j]
+			p, _ := slices.BinarySearch(r.samples[:i], v)
+			k -= i - p
+			copy(r.samples[k:], r.samples[p:i])
+			i = p
+			k--
+			r.samples[k] = v
+		}
+	}
+	r.nsorted = n
 }
 
 // P50 returns the median.
@@ -120,7 +144,7 @@ func (r *LatencyRecorder) Max() des.Time { return r.Percentile(100) }
 // Reset discards all samples.
 func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
-	r.sorted = false
+	r.nsorted = 0
 	r.sum = 0
 }
 

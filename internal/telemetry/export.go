@@ -43,8 +43,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(bw, "%s%s %s %d\n", s.name, labelString(s.labels),
-			formatValue(last.V), int64(last.T)/int64(des.Millisecond))
+		fmt.Fprintf(bw, "%s %s %d\n", s.key, formatValue(last.V), int64(last.T)/int64(des.Millisecond))
 	}
 	return bw.Flush()
 }
@@ -70,8 +69,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(bw, "%s%s %s %s\n", s.name, labelString(s.labels),
-			formatValue(last.V), formatValue(last.T.Seconds()))
+		fmt.Fprintf(bw, "%s %s %s\n", s.key, formatValue(last.V), formatValue(last.T.Seconds()))
 	}
 	fmt.Fprintln(bw, "# EOF")
 	return bw.Flush()
@@ -89,12 +87,11 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 	fmt.Fprintf(bw, "# sample_every_ns=%d ticks=%d dropped=%d\n", int64(r.every), r.ticks, r.Dropped())
 	fmt.Fprintln(bw, "series,t_ns,value")
 	for _, s := range r.Series() {
-		key := s.Key()
 		for i := 0; i < s.Len(); i++ {
 			sm := s.at(i)
 			// Keys embed quoted labels; quote the field so commas
 			// inside label values cannot split the row.
-			fmt.Fprintf(bw, "%q,%d,%s\n", key, int64(sm.T), formatValue(sm.V))
+			fmt.Fprintf(bw, "%q,%d,%s\n", s.key, int64(sm.T), formatValue(sm.V))
 		}
 	}
 	return bw.Flush()

@@ -75,6 +75,8 @@ type Sample struct {
 type Series struct {
 	name    string
 	labels  []Label
+	lstr    string // labelString(labels), rendered once at registration
+	key     string // name + lstr
 	help    string
 	kind    Kind
 	probe   Probe
@@ -96,7 +98,7 @@ func (s *Series) Help() string { return s.help }
 func (s *Series) Kind() Kind { return s.kind }
 
 // Key returns the full series identity: name plus rendered labels.
-func (s *Series) Key() string { return s.name + labelString(s.labels) }
+func (s *Series) Key() string { return s.key }
 
 // Dropped returns how many samples were overwritten because the ring
 // was full.
@@ -160,6 +162,7 @@ type Registry struct {
 	every      des.Time
 	seriesCap  int
 	series     []*Series // registration order — the sampling order
+	sorted     []*Series // (name, labels) order; nil after a registration
 	byKey      map[string]*Series
 	ticks      int64
 	sink       SinkFunc
@@ -214,14 +217,15 @@ func (r *Registry) SampleEvery() des.Time {
 func (r *Registry) register(name, help string, kind Kind, probe Probe, labels []Label) *Series {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].K < ls[j].K })
-	s := &Series{name: name, labels: ls, help: help, kind: kind, probe: probe,
-		buf: make([]Sample, 0, r.seriesCap)}
-	key := s.Key()
-	if _, dup := r.byKey[key]; dup {
-		panic("telemetry: duplicate series " + key)
+	lstr := labelString(ls)
+	s := &Series{name: name, labels: ls, lstr: lstr, key: name + lstr, help: help, kind: kind,
+		probe: probe, buf: make([]Sample, 0, r.seriesCap)}
+	if _, dup := r.byKey[s.key]; dup {
+		panic("telemetry: duplicate series " + s.key)
 	}
-	r.byKey[key] = s
+	r.byKey[s.key] = s
 	r.series = append(r.series, s)
+	r.sorted = nil
 	return s
 }
 
@@ -324,19 +328,23 @@ func (r *Registry) Lookup(key string) *Series {
 }
 
 // Series returns every series sorted by (name, labels) — the exporters'
-// deterministic order.
+// deterministic order. The order is computed once per registration,
+// not per call; the returned slice is the caller's to modify.
 func (r *Registry) Series() []*Series {
 	if r == nil {
 		return nil
 	}
-	out := append([]*Series(nil), r.series...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].name != out[j].name {
-			return out[i].name < out[j].name
-		}
-		return labelString(out[i].labels) < labelString(out[j].labels)
-	})
-	return out
+	if r.sorted == nil {
+		r.sorted = append([]*Series(nil), r.series...)
+		sort.Slice(r.sorted, func(i, j int) bool {
+			a, b := r.sorted[i], r.sorted[j]
+			if a.name != b.name {
+				return a.name < b.name
+			}
+			return a.lstr < b.lstr
+		})
+	}
+	return append([]*Series(nil), r.sorted...)
 }
 
 // Counter is a push-style monotone counter handle. Nil handles (from a

@@ -301,3 +301,30 @@ func TestSinkPanicsNilSafe(t *testing.T) {
 		t.Fatal("nil registry reports sink panics")
 	}
 }
+
+// Series keeps its (name, labels) order across registrations made
+// after a previous call, and a caller reordering the returned slice
+// cannot disturb the next call's order.
+func TestSeriesOrderAcrossRegistrations(t *testing.T) {
+	r := New(0, 8)
+	zero := func(des.Time) float64 { return 0 }
+	r.Gauge("m", "h", zero, L("node", "b"))
+	r.Gauge("z", "h", zero)
+	keys := func() string {
+		var ks []string
+		for _, s := range r.Series() {
+			ks = append(ks, s.Key())
+		}
+		return strings.Join(ks, " ")
+	}
+	if got, want := keys(), `m{node="b"} z`; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+	got := r.Series()
+	got[0], got[1] = got[1], got[0]
+	r.Gauge("m", "h", zero, L("node", "a"))
+	r.Gauge("a", "h", zero)
+	if got, want := keys(), `a m{node="a"} m{node="b"} z`; got != want {
+		t.Fatalf("order after late registration = %s, want %s", got, want)
+	}
+}
