@@ -1,9 +1,10 @@
 package azure
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cxlfork/internal/des"
 )
@@ -15,6 +16,12 @@ type Request struct {
 	// Burst marks arrivals generated during a burst period (useful for
 	// analysis; the autoscaler does not see this field).
 	Burst bool
+}
+
+// SortByArrival sorts requests by arrival time in place. The sort is
+// stable: simultaneous arrivals keep their input order.
+func SortByArrival(reqs []Request) {
+	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.At, b.At) })
 }
 
 // FunctionLoad configures one function's arrival process.
@@ -76,7 +83,7 @@ func Generate(cfg TraceConfig) []Request {
 		base := share / ((1 - d) + l.BurstFactor*d)
 		out = append(out, generateOne(rng, l, base, cfg.Duration)...)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	SortByArrival(out)
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"cxlfork/internal/des"
@@ -68,6 +67,6 @@ func ReadCSV(r io.Reader) ([]Request, error) {
 			Function: rec[1],
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	SortByArrival(out)
 	return out, nil
 }

@@ -35,6 +35,43 @@ func BenchmarkResourceExec(b *testing.B) {
 	e.Run()
 }
 
+// deepQueueEvents is the arrival count of the deep-queue benchmarks:
+// the order of a million-request trace replay.
+const deepQueueEvents = 1 << 20
+
+// deepQueueAt spreads the arrivals over ~1 s of virtual time with
+// runs of equal timestamps.
+func deepQueueAt(i int) Time { return Time(i/4) * 4 * Microsecond }
+
+// BenchmarkEngineDeepQueue schedules a million events up front and
+// drains them: every pop sifts through the full heap.
+func BenchmarkEngineDeepQueue(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		e := NewEngine()
+		sink := 0
+		for i := 0; i < deepQueueEvents; i++ {
+			i := i
+			e.At(deepQueueAt(i), func() { sink += i })
+		}
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deepQueueEvents), "ns/event")
+}
+
+// BenchmarkEngineStream feeds the same million events through the
+// arrival stream, so the heap only ever holds what is in flight.
+func BenchmarkEngineStream(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		e := NewEngine()
+		sink := 0
+		e.Stream(deepQueueEvents, deepQueueAt, func(i int) { sink += i })
+		e.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deepQueueEvents), "ns/event")
+}
+
 // benchLoad seeds the benchmark workload: per-node chains of chunked
 // copy events with ring replication sends — the des-level shape of the
 // 64-node lane benchmark the trajectory harness runs.

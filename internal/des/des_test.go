@@ -151,6 +151,67 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// TestResourceFIFOAcrossCompaction holds the head-indexed queue to
+// FIFO grant order through its amortized compactions, with QueueLen
+// exact after every grant and every vacated slot cleared so granted
+// callbacks can be collected.
+func TestResourceFIFOAcrossCompaction(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, 1)
+	var granted []int
+	r.Acquire(func(Time) {}) // hold the only slot
+	next := 0
+	enqueue := func(k int) {
+		for ; k > 0; k-- {
+			i := next
+			next++
+			r.Acquire(func(Time) { granted = append(granted, i) })
+		}
+	}
+	compactions := 0
+	release := func() {
+		head := r.head
+		r.Release()
+		if r.head < head {
+			compactions++
+		}
+		if got, want := r.QueueLen(), next-len(granted); got != want {
+			t.Fatalf("QueueLen = %d, want %d", got, want)
+		}
+		for i, fn := range r.queue[:cap(r.queue)] {
+			if live := i >= r.head && i < len(r.queue); live != (fn != nil) {
+				t.Fatalf("slot %d (head %d, len %d): live=%v but holds fn=%v", i, r.head, len(r.queue), live, fn != nil)
+			}
+		}
+	}
+	// Interleave bursts of arrivals with grants so compaction happens
+	// with live items behind the head.
+	for round := 0; round < 20; round++ {
+		enqueue(3 + round%5)
+		for k := 0; k < 2+round%3 && r.QueueLen() > 0; k++ {
+			release()
+		}
+	}
+	for r.QueueLen() > 0 {
+		release()
+	}
+	if compactions < 2 {
+		t.Fatalf("only %d compactions; the test must cross several", compactions)
+	}
+	for i, v := range granted {
+		if v != i {
+			t.Fatalf("grant order broken at %d: %v", i, granted)
+		}
+	}
+	if len(granted) != next || r.Busy() != 1 {
+		t.Fatalf("granted %d of %d, busy %d", len(granted), next, r.Busy())
+	}
+	r.Release()
+	if r.Busy() != 0 {
+		t.Fatalf("busy = %d after final release", r.Busy())
+	}
+}
+
 func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)

@@ -166,6 +166,15 @@ type fnState struct {
 	reckpting bool
 }
 
+// popQueue removes and returns the oldest queued request in O(1),
+// clearing the vacated slot so the request can be collected.
+func (st *fnState) popQueue() *pending {
+	req := st.queue[0]
+	st.queue[0] = nil
+	st.queue = st.queue[1:]
+	return req
+}
+
 type pending struct {
 	fn      string
 	arrived des.Time
@@ -325,7 +334,12 @@ type Porter struct {
 	store *ObjectStore
 	nodes []*nodeState
 	fns   map[string]*fnState
+	// order lists fns in spec (provisioning) order: the fixed iteration
+	// order of every scan that compares functions.
+	order []*fnState
 	rng   *rand.Rand
+	// cands is placement scratch, reused across spawns.
+	cands []*nodeState
 
 	res      Results
 	base     des.Time
@@ -602,6 +616,7 @@ func (p *Porter) provision(s faas.Spec) error {
 	}
 	st.slo = des.Time(p.cfg.SLOFactor * float64(p.profile(s.Name, rfork.MigrateOnAccess).WarmExec))
 	p.fns[s.Name] = st
+	p.order = append(p.order, st)
 
 	if p.ghostsCompatible() {
 		for _, n := range p.nodes {

@@ -1,6 +1,9 @@
 package porter_test
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cxlfork/internal/azure"
@@ -267,5 +270,71 @@ func TestReclaimLargest(t *testing.T) {
 	st.Release()
 	if st.Len() != 0 {
 		t.Fatal("release incomplete")
+	}
+}
+
+// TestRunUnsortedTraceMatchesStableSort feeds Run a shuffled trace and
+// its stable-sorted copy: the arrival stream must replay both in the
+// same (time, trace index) order. Arrival times are quantized so two
+// functions with different service times tie often, which makes the
+// tie order observable in the fingerprint.
+func TestRunUnsortedTraceMatchesStableSort(t *testing.T) {
+	fast, slow := tinySpec(), tinySpec()
+	slow.Name = "Slow"
+	prof := profiles("CXLfork")
+	for k, pr := range profiles("CXLfork") {
+		k.Function = slow.Name
+		pr.WarmExec *= 3
+		pr.ColdExec *= 2
+		prof[k] = pr
+	}
+	run := func(trace []azure.Request) uint64 {
+		p := params.Default()
+		p.NodeDRAMBytes = 1 << 30
+		p.CXLBytes = 1 << 30
+		c := cluster.MustNew(p, 2)
+		po := porter.New(c, porter.Config{
+			Mechanism:       core.New(c.Dev),
+			Profiles:        prof,
+			NodeBudgetBytes: 64 << 20,
+			Seed:            1,
+		})
+		if err := po.Setup([]faas.Spec{fast, slow}); err != nil {
+			t.Fatal(err)
+		}
+		res := po.Run(trace)
+		if res.Completed != len(trace) {
+			t.Fatalf("completed %d of %d", res.Completed, len(trace))
+		}
+		return res.Fingerprint()
+	}
+
+	trace := azure.Generate(azure.TraceConfig{
+		TotalRPS: 200,
+		Duration: 3 * des.Second,
+		Loads:    azure.DefaultLoads([]string{fast.Name, slow.Name}),
+		Seed:     5,
+	})
+	for i := range trace {
+		trace[i].At -= trace[i].At % (20 * des.Millisecond)
+	}
+	shuffled := slices.Clone(trace)
+	rand.New(rand.NewSource(9)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	sorted := slices.Clone(shuffled)
+	slices.SortStableFunc(sorted, func(a, b azure.Request) int { return cmp.Compare(a.At, b.At) })
+
+	got, want := run(shuffled), run(sorted)
+	if got != want {
+		t.Fatalf("shuffled trace fingerprint %#x, stable-sorted copy %#x", got, want)
+	}
+	// Not vacuous: the original trace has the same arrivals with ties
+	// in a different order, and that must show in the fingerprint.
+	if slices.Equal(trace, sorted) {
+		t.Fatal("shuffle left every tie in place")
+	}
+	if run(trace) == want {
+		t.Fatal("tie order is invisible to the fingerprint; the test cannot tell orders apart")
 	}
 }

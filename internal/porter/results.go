@@ -1,7 +1,9 @@
 package porter
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"cxlfork/internal/metrics"
@@ -26,25 +28,40 @@ func (n *nodeState) hostsFn(fn string) bool {
 // ghostFallback picks the least-loaded surviving node with room for a
 // ghost container, preferring dedup-warm nodes at equal load.
 func (p *Porter) ghostFallback(fn string, ghostPages int) *nodeState {
-	cands := make([]*nodeState, 0, len(p.nodes))
+	cands := p.cands[:0]
 	for _, n := range p.nodes {
 		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < ghostPages {
 			continue
 		}
 		cands = append(cands, n)
 	}
+	p.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		li := cands[i].cpu.Busy() + cands[i].cpu.QueueLen()
-		lj := cands[j].cpu.Busy() + cands[j].cpu.QueueLen()
-		if li != lj {
-			return li < lj
-		}
-		return cands[i].hostsFn(fn) && !cands[j].hostsFn(fn)
-	})
+	sortByLoad(cands, fn)
 	return cands[0]
+}
+
+// sortByLoad orders placement candidates least loaded (busy plus
+// queued cores) first. Equal load prefers a node already hosting fn:
+// its restores and re-checkpoints run against device frames this
+// function's pages already deduped into, and its page cache is warm.
+// The sort is stable, so remaining ties keep node order.
+func sortByLoad(cands []*nodeState, fn string) {
+	slices.SortStableFunc(cands, func(a, b *nodeState) int {
+		if c := cmp.Compare(a.cpu.Busy()+a.cpu.QueueLen(), b.cpu.Busy()+b.cpu.QueueLen()); c != 0 {
+			return c
+		}
+		ha, hb := a.hostsFn(fn), b.hostsFn(fn)
+		switch {
+		case ha == hb:
+			return 0
+		case ha:
+			return -1
+		}
+		return 1
+	})
 }
 
 // Fingerprint folds every scalar result and the latency distributions

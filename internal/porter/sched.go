@@ -2,7 +2,7 @@ package porter
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/des"
@@ -38,14 +38,29 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	p.lastDone = base
 	p.window = 0
 	var last des.Time
-	for _, r := range trace {
-		r := r
-		eng.At(base+r.At, func() { p.arrive(r.Function) })
+	sorted := true
+	for i, r := range trace {
 		if r.At > last {
 			last = r.At
 		}
+		if i > 0 && r.At < trace[i-1].At {
+			sorted = false
+		}
 	}
 	p.window = last
+	// Arrivals stream into the engine lazily instead of sitting in its
+	// heap as a million closures. A stream must be sorted, and it ranks
+	// arrival i as the i-th of len(trace) up-front schedules, so an
+	// unsorted trace is replayed from a stable-sorted copy: equal
+	// timestamps keep trace order, which is exactly the (at, index)
+	// order scheduling every arrival with At produced.
+	if !sorted {
+		trace = slices.Clone(trace)
+		azure.SortByArrival(trace)
+	}
+	eng.Stream(len(trace),
+		func(i int) des.Time { return base + trace[i].At },
+		func(i int) { p.arrive(trace[i].Function) })
 
 	// Periodic A-bit reset on CXL checkpoints to re-estimate hot pages
 	// (§4.3, §5). Only checkpoints that expose the interface (CXLfork's)
@@ -227,32 +242,39 @@ func (p *Porter) arrive(fn string) {
 
 // findIdle pops the most recently idled instance of fn (warmest caches).
 func (p *Porter) findIdle(fn string) *instance {
-	var best *instance
+	var best *nodeState
+	var bestSince des.Time
 	for _, n := range p.nodes {
 		list := n.idle[fn]
 		if len(list) == 0 {
 			continue
 		}
-		cand := list[len(list)-1]
-		if best == nil || cand.idleSince > best.idleSince {
-			best = cand
+		if since := list[len(list)-1].idleSince; best == nil || since > bestSince {
+			best, bestSince = n, since
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	p.removeIdle(best)
-	return best
+	list := best.idle[fn]
+	in := list[len(list)-1]
+	list[len(list)-1] = nil
+	best.idle[fn] = list[:len(list)-1]
+	p.cancelExpire(in)
+	return in
 }
 
+// removeIdle takes in off its node's idle list and cancels its
+// keep-alive expiry.
 func (p *Porter) removeIdle(in *instance) {
 	list := in.node.idle[in.fn]
-	for i, x := range list {
-		if x == in {
-			in.node.idle[in.fn] = append(list[:i], list[i+1:]...)
-			break
-		}
+	if i := slices.Index(list, in); i >= 0 {
+		in.node.idle[in.fn] = slices.Delete(list, i, i+1)
 	}
+	p.cancelExpire(in)
+}
+
+func (p *Porter) cancelExpire(in *instance) {
 	if in.hasExpire {
 		p.c.Eng.Cancel(in.expire)
 		in.hasExpire = false
@@ -297,7 +319,8 @@ func (p *Porter) serve(inst *instance, req *pending) {
 func (p *Porter) trySpawn(fn string, req *pending) bool {
 	st := p.fns[fn]
 	img, haveCkpt := p.store.Get(p.cfg.User, fn)
-	excluded := make(map[*nodeState]bool)
+	// Allocated on the first ErrNodeDown; reading a nil map is safe.
+	var excluded map[*nodeState]bool
 
 	// t0 is the spawn decision instant; everything before it is porter
 	// queueing. probeNS/backoffNS split failoverDelay for attribution.
@@ -388,6 +411,9 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 		if errors.Is(err, rfork.ErrNodeDown) {
 			// The restore target died: retry on an alternate node after
 			// a backed-off delay, if the request's budget allows it.
+			if excluded == nil {
+				excluded = make(map[*nodeState]bool)
+			}
 			excluded[node] = true
 			p.c.Faults.Counters.Retries.Inc()
 			if exhausted() {
@@ -587,24 +613,15 @@ func (p *Porter) replenishGhosts(node *nodeState, fn string) {
 // can host the instance.
 func (p *Porter) placeOn(fn string, pages int, excluded map[*nodeState]bool) (*nodeState, bool) {
 	// Prefer nodes with a ghost for fn and room, least loaded first.
-	cands := make([]*nodeState, 0, len(p.nodes))
+	cands := p.cands[:0]
 	for _, n := range p.nodes {
 		if excluded[n] || p.c.Faults.NodeDown(n.os.Index) {
 			continue
 		}
 		cands = append(cands, n)
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		li := cands[i].cpu.Busy() + cands[i].cpu.QueueLen()
-		lj := cands[j].cpu.Busy() + cands[j].cpu.QueueLen()
-		if li != lj {
-			return li < lj
-		}
-		// Equal load: prefer the node already hosting fn. Its restores
-		// and re-checkpoints run against device frames this function's
-		// pages already deduped into, and its page cache is warm.
-		return cands[i].hostsFn(fn) && !cands[j].hostsFn(fn)
-	})
+	p.cands = cands
+	sortByLoad(cands, fn)
 	if p.ghostsCompatible() {
 		for _, n := range cands {
 			if n.ghosts[fn] > 0 && n.freePages() >= pages {
@@ -643,10 +660,13 @@ func (p *Porter) evictFor(n *nodeState, pages int) bool {
 	return true
 }
 
+// oldestIdle returns n's longest-idle instance. Functions are visited
+// in spec order, so equal idleSince ties resolve the same way on every
+// run.
 func (p *Porter) oldestIdle(n *nodeState) *instance {
 	var oldest *instance
-	for _, list := range n.idle {
-		for _, in := range list {
+	for _, st := range p.order {
+		for _, in := range n.idle[st.spec.Name] {
 			if oldest == nil || in.idleSince < oldest.idleSince {
 				oldest = in
 			}
@@ -702,9 +722,7 @@ func (p *Porter) complete(inst *instance, req *pending, end des.Time) {
 
 	// Fast path: keep serving this function's queue with the instance.
 	if len(st.queue) > 0 {
-		next := st.queue[0]
-		st.queue = append(st.queue[:0], st.queue[1:]...)
-		p.serve(inst, next)
+		p.serve(inst, st.popQueue())
 		return
 	}
 
@@ -764,10 +782,12 @@ func (p *Porter) memPressure() bool {
 }
 
 // pump retries queued requests, oldest first, after capacity frees up.
+// Functions are visited in spec order, so equal arrival times resolve
+// the same way on every run.
 func (p *Porter) pump() {
 	for {
 		var st *fnState
-		for _, s := range p.fns {
+		for _, s := range p.order {
 			if len(s.queue) == 0 {
 				continue
 			}
@@ -780,12 +800,12 @@ func (p *Porter) pump() {
 		}
 		req := st.queue[0]
 		if inst := p.findIdle(req.fn); inst != nil {
-			st.queue = append(st.queue[:0], st.queue[1:]...)
+			st.popQueue()
 			p.serve(inst, req)
 			continue
 		}
 		if p.trySpawn(req.fn, req) {
-			st.queue = append(st.queue[:0], st.queue[1:]...)
+			st.popQueue()
 			continue
 		}
 		return
