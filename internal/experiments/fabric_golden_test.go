@@ -28,6 +28,20 @@ func goldenFabricConfig() FabricExpConfig {
 	return cfg
 }
 
+// goldenFabricRestore pins each cell's restore-phase tail and sample
+// count, which the sweep fingerprint leaves out: the restore-latency
+// recorder must keep recording the same value per fork restore.
+var goldenFabricRestore = []struct {
+	sw, dev int
+	pol     string
+	p99     des.Time
+	count   int
+}{
+	{2, 1, "hash", 1575331521, 223},
+	{2, 6, "hash", 380915062, 194},
+	{2, 6, "locality", 315023518, 191},
+}
+
 func TestGoldenFabricWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")
@@ -41,6 +55,19 @@ func TestGoldenFabricWorkerEquivalence(t *testing.T) {
 		}
 		if h := r.Fingerprint(); h != uint64(goldenFabric) {
 			t.Fatalf("workers=%d: fabric fingerprint %#x, golden %#x", workers, h, uint64(goldenFabric))
+		}
+		if len(r.Runs) != len(goldenFabricRestore) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(r.Runs), len(goldenFabricRestore))
+		}
+		for _, g := range goldenFabricRestore {
+			run := r.run(g.sw, g.dev, g.pol)
+			if run == nil {
+				t.Fatalf("workers=%d: cell %d/%d/%s missing", workers, g.sw, g.dev, g.pol)
+			}
+			if n := run.Results.RestoreLatency.Count(); run.RestoreP99 != g.p99 || n != g.count {
+				t.Fatalf("workers=%d: cell %d/%d/%s restore p99 %d over %d, golden %d over %d",
+					workers, g.sw, g.dev, g.pol, run.RestoreP99, n, g.p99, g.count)
+			}
 		}
 	}
 }

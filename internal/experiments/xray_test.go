@@ -49,9 +49,15 @@ func TestXRayObservational(t *testing.T) {
 	}
 }
 
+// goldenXRay pins the attributed sweep's report fold at
+// xrayTestConfig: the content of the blame tables, heatmap and
+// exemplars, not only their stability across reruns and workers.
+const goldenXRay = 0x9d006fdc05944f76
+
 // TestXRayDeterministicAcrossWorkersAndReruns pins the report side:
 // the full rendered output (blame tables, heatmap, exemplars, fold)
-// must be byte-identical across reruns and across SimWorkers 1/2/8.
+// must be byte-identical across reruns and across SimWorkers 1/2/8,
+// and its fold must equal goldenXRay.
 func TestXRayDeterministicAcrossWorkersAndReruns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("porter replays are slow")
@@ -81,6 +87,9 @@ func TestXRayDeterministicAcrossWorkersAndReruns(t *testing.T) {
 	}
 	if want == "" || wantFP == 0 {
 		t.Fatal("empty report")
+	}
+	if wantFP != uint64(goldenXRay) {
+		t.Fatalf("xray fingerprint %#x, golden %#x", wantFP, uint64(goldenXRay))
 	}
 }
 

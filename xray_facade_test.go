@@ -17,45 +17,64 @@ func xrayWorkload() Workload {
 	}
 }
 
-// TestRunWorkloadXRayObservational pins the facade-level neutrality
-// contract: Config.XRay attaches a blame report to the run without
-// changing the simulated results, so the report fingerprint matches a
-// plain run — and a second attributed run renders the report
-// byte-identically.
-func TestRunWorkloadXRayObservational(t *testing.T) {
-	wl := xrayWorkload()
-	plain, err := RunWorkload(smallConfig(), wl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.XRay != nil {
-		t.Fatal("XRay report present without Config.XRay")
-	}
+// xrayDesignGoldens pins the attributed report's fold per design at
+// xrayWorkload: the content of the blame decomposition, not only its
+// rerun stability. Mitosis-CXL is the one design whose spawns take the
+// parent-uplink copy, so it is the only pin covering that component.
+var xrayDesignGoldens = map[string]uint64{
+	"CXLfork":     0xa42b052c6f7663ef,
+	"CXLfork-MoW": 0xbb6e1386db25d781,
+	"CRIU-CXL":    0x215b32f27a5b8d2b,
+	"Mitosis-CXL": 0xf45d192524d35f47,
+}
 
-	cfg := smallConfig()
-	cfg.XRay = true
-	a, err := RunWorkload(cfg, wl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint != plain.Fingerprint {
-		t.Fatalf("attribution perturbed the run: %s != %s", a.Fingerprint, plain.Fingerprint)
-	}
-	if a.XRay == nil || a.XRay.Requests == 0 {
-		t.Fatalf("empty XRay report: %+v", a.XRay)
-	}
-	b, err := RunWorkload(cfg, wl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.XRay.Text() != b.XRay.Text() || a.XRay.Fingerprint() != b.XRay.Fingerprint() {
-		t.Fatal("attributed reruns rendered different reports")
-	}
-	// Porter-fed attribution decomposes exactly: no residual anywhere.
-	for _, cb := range a.XRay.Classes {
-		if cb.ResidualNS != 0 {
-			t.Fatalf("class %s carries residual %d", cb.Class, cb.ResidualNS)
-		}
+// TestRunWorkloadXRayObservational pins the facade-level neutrality
+// contract for every design: Config.XRay attaches a blame report to
+// the run without changing the simulated results, so the report
+// fingerprint matches a plain run — and a second attributed run
+// renders the report byte-identically, with the pinned fold.
+func TestRunWorkloadXRayObservational(t *testing.T) {
+	for _, design := range WorkloadDesigns {
+		t.Run(design, func(t *testing.T) {
+			wl := xrayWorkload()
+			wl.Design = design
+			plain, err := RunWorkload(smallConfig(), wl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.XRay != nil {
+				t.Fatal("XRay report present without Config.XRay")
+			}
+
+			cfg := smallConfig()
+			cfg.XRay = true
+			a, err := RunWorkload(cfg, wl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Fingerprint != plain.Fingerprint {
+				t.Fatalf("attribution perturbed the run: %s != %s", a.Fingerprint, plain.Fingerprint)
+			}
+			if a.XRay == nil || a.XRay.Requests == 0 {
+				t.Fatalf("empty XRay report: %+v", a.XRay)
+			}
+			b, err := RunWorkload(cfg, wl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.XRay.Text() != b.XRay.Text() || a.XRay.Fingerprint() != b.XRay.Fingerprint() {
+				t.Fatal("attributed reruns rendered different reports")
+			}
+			if got, want := a.XRay.Fingerprint(), xrayDesignGoldens[design]; got != want {
+				t.Fatalf("xray report fingerprint %#x, golden %#x", got, want)
+			}
+			// Porter-fed attribution decomposes exactly: no residual anywhere.
+			for _, cb := range a.XRay.Classes {
+				if cb.ResidualNS != 0 {
+					t.Fatalf("class %s carries residual %d", cb.Class, cb.ResidualNS)
+				}
+			}
+		})
 	}
 }
 
