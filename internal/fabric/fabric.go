@@ -579,16 +579,6 @@ func (t *Topology) LinkSwitch(li int) string {
 	return best
 }
 
-// PathLinks returns a copy of the host h -> device d route's link
-// indices in traversal order — the per-link join attribution uses to
-// map a restore onto the heatmap.
-func (t *Topology) PathLinks(h, d int) []int {
-	return append([]int(nil), t.paths[h][d].links...)
-}
-
-// LinkStreams returns link li's concurrent full-rate stream capacity.
-func (t *Topology) LinkStreams(li int) int { return t.links[li].streams }
-
 // Trivial reports whether the topology collapses to the flat
 // single-hop model the rest of the simulator was calibrated on: one
 // switch, one device, and every link at its parameter-derived default.

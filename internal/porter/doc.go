@@ -12,8 +12,14 @@
 // memory-pressure effects that the profiles alone cannot.
 //
 // Entry points: New over a cluster.Cluster, then Setup to deploy and
-// checkpoint a suite and Run to replay an arrival trace. The
-// device-capacity manager — eviction policies, watermarks, admission,
-// re-checkpointing — lives in capacity.go (paper §8 discussion,
-// DESIGN.md §10); ParseEvictPolicy maps params.EvictPolicy onto it.
+// checkpoint a suite and Run to replay an arrival trace. In sched.go a
+// warm request is served by serve, and a spawn by trySpawn's stages:
+// chooseSource, place, priceFabric, bringUp and launch. Each stage
+// writes its share of the request's latency into one xray.Ledger, held
+// by the instance serving the request; runOnCore and observe read the
+// CPU charge, the trace span and the attribution from it (DESIGN.md
+// §16). The device-capacity manager — eviction policies, watermarks,
+// admission, re-checkpointing — lives in capacity.go (paper §8
+// discussion, DESIGN.md §10); ParseEvictPolicy maps params.EvictPolicy
+// onto it.
 package porter

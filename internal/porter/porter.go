@@ -17,6 +17,7 @@ import (
 	"cxlfork/internal/replica"
 	"cxlfork/internal/rfork"
 	"cxlfork/internal/telemetry"
+	"cxlfork/internal/xray"
 )
 
 // Profile is the measured behaviour of one (function, mechanism,
@@ -113,6 +114,11 @@ type instance struct {
 	expire    des.EventID
 	hasExpire bool
 	warmRuns  int
+	// led is the latency ledger of the request the instance is serving;
+	// an instance serves one request at a time. dev is the pool device
+	// that request's restore read over the fabric, or -1.
+	led xray.Ledger
+	dev int
 }
 
 // nodeState is the per-node scheduler view.
@@ -340,6 +346,10 @@ type Porter struct {
 	rng   *rand.Rand
 	// cands is placement scratch, reused across spawns.
 	cands []*nodeState
+	// comps is attribution scratch, reused across requests.
+	comps []xray.Component
+	// ghostPages is an empty ghost container's resident page count.
+	ghostPages int
 
 	res      Results
 	base     des.Time
@@ -411,6 +421,8 @@ func New(c *cluster.Cluster, cfg Config) *Porter {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		policy: pol,
 		snaps:  make(map[string]*ckptSnapshot),
+
+		ghostPages: int(c.P.GhostContainerBytes / int64(c.P.PageSize)),
 	}
 	if c.Pool != nil && c.Pool.N() > 1 {
 		p.rep = replica.New(c.Pool, c.Eng, c.P)
@@ -628,7 +640,7 @@ func (p *Porter) provision(s faas.Spec) error {
 					return err
 				}
 				n.ghosts[s.Name]++
-				n.usedPages += int(cp.GhostContainerBytes / int64(cp.PageSize))
+				n.usedPages += p.ghostPages
 			}
 		}
 	}

@@ -27,10 +27,10 @@ func (n *nodeState) hostsFn(fn string) bool {
 
 // ghostFallback picks the least-loaded surviving node with room for a
 // ghost container, preferring dedup-warm nodes at equal load.
-func (p *Porter) ghostFallback(fn string, ghostPages int) *nodeState {
+func (p *Porter) ghostFallback(fn string) *nodeState {
 	cands := p.cands[:0]
 	for _, n := range p.nodes {
-		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < ghostPages {
+		if p.c.Faults.NodeDown(n.os.Index) || n.freePages() < p.ghostPages {
 			continue
 		}
 		cands = append(cands, n)

@@ -36,7 +36,6 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	base := eng.Now()
 	p.base = base
 	p.lastDone = base
-	p.window = 0
 	var last des.Time
 	sorted := true
 	for i, r := range trace {
@@ -84,6 +83,36 @@ func (p *Porter) Run(trace []azure.Request) Results {
 		eng.After(p.c.P.ABitResetPeriod, resetTick)
 	}
 
+	p.armPeriodic(base + last)
+
+	p.observeMem()
+	eng.Run()
+	p.res.Duration = p.lastDone - base
+	if p.telem != nil {
+		// Final sample so the exports include end-of-run state.
+		p.sampleTelemetry(eng.Now())
+	}
+
+	p.mirrorCounters()
+
+	// Presort the latency recorders on the worker pool before the
+	// caller's summary pass reads percentiles. Each recorder sorts its
+	// own buffer, sorting is order-insensitive, and the replay itself
+	// is already over — so SimWorkers > 1 cannot change any result,
+	// only the wall-clock cost of the O(n log n) at scale (a
+	// million-request trace sorts ~1M samples here).
+	recs := []*metrics.LatencyRecorder{p.res.Overall, p.res.ColdLatency, p.res.RestoreLatency}
+	for _, r := range p.res.PerFunction {
+		recs = append(recs, r)
+	}
+	p.c.Sim.Each(len(recs), func(i int) { recs[i].Presort() })
+	return p.res
+}
+
+// armPeriodic schedules the replay's background work up to the end of
+// the arrival window: the fault plan's device losses, anti-entropy
+// repair, capacity reclaim and telemetry sampling.
+func (p *Porter) armPeriodic(end des.Time) {
 	// Arm the plan's device-loss schedule: a firing rule permanently
 	// fails the pool device and prunes its replicas, opening the repair
 	// window.
@@ -97,8 +126,8 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	// Anti-entropy repair: every RepairPeriod, copy up to the bandwidth
 	// budget of pages toward restoring full replication (DESIGN.md §12).
 	if p.rep != nil && p.c.P.RepairPeriod > 0 {
-		eng.Every(p.c.P.RepairPeriod, func() bool {
-			if eng.Now() >= base+last {
+		p.c.Eng.Every(p.c.P.RepairPeriod, func() bool {
+			if p.c.Eng.Now() >= end {
 				return false
 			}
 			p.rep.RepairTick()
@@ -111,8 +140,8 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	// occupancy growth between arrivals (re-checkpoints, dedup decay)
 	// is bounded even during arrival lulls.
 	if period := p.c.P.CXLReclaimPeriod; period > 0 {
-		eng.Every(period, func() bool {
-			if eng.Now() >= base+last {
+		p.c.Eng.Every(period, func() bool {
+			if p.c.Eng.Now() >= end {
 				return false
 			}
 			p.maybeReclaim()
@@ -126,26 +155,22 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	// only effect on the event heap is its own presence — results are
 	// identical with sampling on or off.
 	if p.telem != nil {
-		p.sampleTelemetry(eng.Now())
+		p.sampleTelemetry(p.c.Eng.Now())
 		if every := p.telem.SampleEvery(); every > 0 {
-			eng.Every(every, func() bool {
-				if eng.Now() >= base+last {
+			p.c.Eng.Every(every, func() bool {
+				if p.c.Eng.Now() >= end {
 					return false
 				}
-				p.sampleTelemetry(eng.Now())
+				p.sampleTelemetry(p.c.Eng.Now())
 				return true
 			})
 		}
 	}
+}
 
-	p.observeMem()
-	eng.Run()
-	p.res.Duration = p.lastDone - base
-	if p.telem != nil {
-		// Final sample so the exports include end-of-run state.
-		p.sampleTelemetry(eng.Now())
-	}
-
+// mirrorCounters copies the run's fault, replication, dedup, capacity,
+// fabric and observability counters into the results.
+func (p *Porter) mirrorCounters() {
 	// Availability accounting: mirror the cluster plan's fault counters
 	// (which cover Setup as well as the trace) into the results.
 	fc := &p.c.Faults.Counters
@@ -208,19 +233,6 @@ func (p *Porter) Run(trace []azure.Request) Results {
 	p.res.TelemetrySamples = p.telem.Ticks()
 	p.res.TelemetryDropped = p.telem.Dropped()
 	p.res.SLOAlertsFired = p.slo.Fired()
-
-	// Presort the latency recorders on the worker pool before the
-	// caller's summary pass reads percentiles. Each recorder sorts its
-	// own buffer, sorting is order-insensitive, and the replay itself
-	// is already over — so SimWorkers > 1 cannot change any result,
-	// only the wall-clock cost of the O(n log n) at scale (a
-	// million-request trace sorts ~1M samples here).
-	recs := []*metrics.LatencyRecorder{p.res.Overall, p.res.ColdLatency, p.res.RestoreLatency}
-	for _, r := range p.res.PerFunction {
-		recs = append(recs, r)
-	}
-	p.c.Sim.Each(len(recs), func(i int) { recs[i].Presort() })
-	return p.res
 }
 
 // arrive handles one request arrival.
@@ -281,34 +293,97 @@ func (p *Porter) cancelExpire(in *instance) {
 	}
 }
 
+// Request classes: how a request was served, naming both its trace
+// span and its attribution class.
+const (
+	classWarm    = "warm-start"
+	classFork    = "fork-restore"
+	classScratch = "scratch-cold"
+)
+
 // serve runs one warm invocation of req on inst.
 func (p *Porter) serve(inst *instance, req *pending) {
 	inst.state = instBusy
 	prof := p.profile(inst.fn, inst.policy)
-	dur := p.jitter(prof.WarmExec)
+	inst.led = xray.Ledger{
+		xray.PorterQueue: p.c.Eng.Now() - req.arrived,
+		xray.Exec:        p.jitter(prof.WarmExec),
+	}
+	inst.dev = -1
 	p.res.WarmStarts++
-	submit := p.c.Eng.Now()
-	inst.node.cpu.Exec(dur, func(end des.Time) {
-		span := p.c.Trace.EmitFlow(inst.node.os.Index, trace.CatPorter, "warm-start", end-dur, dur, 0, 0)
-		if p.c.XRay.Enabled() {
-			execStart := end - dur
-			p.c.XRay.Observe(xray.Request{
-				Class:   "warm-start",
-				Name:    inst.fn,
-				Span:    int(span),
-				Arrived: int64(req.arrived),
-				Latency: int64(end - req.arrived),
-				Device:  -1,
-				Components: []xray.Component{
-					{Name: xray.CompPorterQueue, NS: int64(submit - req.arrived)},
-					{Name: xray.CompCPUQueue, NS: int64(execStart - submit)},
-					{Name: xray.CompExec, NS: int64(dur)},
-				},
-			})
+	p.runOnCore(inst, req, classWarm, nil)
+}
+
+// runOnCore holds a core of inst's node for the service time of the
+// request's ledger, then closes req: it emits the span, feeds the
+// attributor, unpins img (the restored checkpoint, or nil) and
+// completes the request.
+func (p *Porter) runOnCore(inst *instance, req *pending, class string, img rfork.Image) {
+	inst.node.cpu.Exec(inst.led.Service(), func(end des.Time) {
+		p.observe(inst, req, class, end)
+		if img != nil {
+			img.Release()
 		}
 		inst.warmRuns++
 		p.complete(inst, req, end)
 	})
+}
+
+// observe emits the span of inst's request, whose service ended at
+// end, and feeds its closed ledger to the attributor.
+func (p *Porter) observe(inst *instance, req *pending, class string, end des.Time) {
+	led := &inst.led
+	svc, pages := led.Service(), inst.pages
+	if class == classWarm {
+		pages = 0
+	}
+	span := p.c.Trace.EmitFlow(inst.node.os.Index, trace.CatPorter, class, end-svc, svc, 0, pages)
+	if !p.c.XRay.Enabled() {
+		return
+	}
+	led.Close(req.arrived, end)
+	// Restore blame accrued toward a request that degraded to a scratch
+	// cold start never reaches the restore-latency recorder: account it
+	// as unattributed instead of losing it.
+	var unattr des.Time
+	if class != classFork {
+		unattr = led[xray.Probe] + led[xray.Backoff]
+	}
+	p.comps = led.Components(p.comps[:0])
+	p.c.XRay.Observe(xray.Request{
+		Class:          class,
+		Name:           inst.fn,
+		Span:           int(span),
+		Arrived:        int64(req.arrived),
+		Latency:        int64(led.Sum()),
+		Device:         inst.dev,
+		Components:     p.comps,
+		UnattributedNS: int64(unattr),
+	})
+}
+
+// spawn is one spawn's working state, threaded through the stages of
+// trySpawn. It stays on trySpawn's stack; bringUp copies the ledger and
+// the restore device onto the new instance.
+type spawn struct {
+	fn string
+	// img is the checkpoint to restore; nil for a scratch cold start.
+	img rfork.Image
+	// excluded holds restore targets found down. It is allocated on the
+	// first ErrNodeDown; reading a nil map is safe.
+	excluded map[*nodeState]bool
+	// attempts counts retries against the per-request budget, shared by
+	// replica failovers and node-down retries.
+	attempts   int
+	pol        rfork.Policy
+	prof       Profile
+	pages      int
+	remoteCopy des.Time
+	node       *nodeState
+	useGhost   bool
+	// dev is the pool device the restore reads over the fabric, or -1.
+	dev int
+	led xray.Ledger
 }
 
 // trySpawn starts a new instance of fn to serve req. It returns false
@@ -317,265 +392,217 @@ func (p *Porter) serve(inst *instance, req *pending) {
 // and the restore retried elsewhere; a transient device-full falls back
 // to a scratch cold start.
 func (p *Porter) trySpawn(fn string, req *pending) bool {
-	st := p.fns[fn]
-	img, haveCkpt := p.store.Get(p.cfg.User, fn)
-	// Allocated on the first ErrNodeDown; reading a nil map is safe.
-	var excluded map[*nodeState]bool
-
-	// t0 is the spawn decision instant; everything before it is porter
-	// queueing. probeNS/backoffNS split failoverDelay for attribution.
-	t0 := p.c.Eng.Now()
-	var probeNS, backoffNS des.Time
-
-	// Per-request retry budget, shared by replica failovers and
-	// node-down retries. Exhausting it degrades the request to a
-	// scratch cold start and counts retry_exhausted — not a generic
-	// fallback (satellite accounting fix).
-	attempts := 0
-	budget := p.c.P.RestoreRetryBudget
-	exhausted := func() bool {
-		if budget > 0 && attempts >= budget {
-			p.c.Faults.Counters.RetryExhausted.Inc()
-			return true
-		}
+	s := spawn{fn: fn, dev: -1}
+	s.led[xray.PorterQueue] = p.c.Eng.Now() - req.arrived
+	p.chooseSource(&s)
+	if !p.place(&s) {
 		return false
 	}
-	var failoverDelay des.Time
+	p.priceFabric(&s)
+	inst := p.bringUp(&s, req)
+	p.launch(&s, inst, req)
+	return true
+}
 
-	// Replica failover: walk the checkpoint's preference list before
-	// placement. A dead device ahead of the first healthy replica costs
-	// a probe timeout plus one backed-off retry, charged to the spawn
-	// in virtual time. An image with no healthy replica left is lost:
-	// drop it (and its snapshot — the data is gone, re-publication
-	// cannot resurrect it) and serve the request from scratch.
-	if haveCkpt && p.rep != nil {
-		if rimg, ok := img.(*replica.Image); ok {
-			healthy, deadAhead := p.rep.Probe(rimg.Key())
-			switch {
-			case healthy == 0:
-				p.res.FailedRestores++
-				p.store.Reclaim(p.cfg.User, fn)
-				delete(p.snaps, fn)
-				img, haveCkpt = nil, false
-			case deadAhead > 0:
-				for i := 0; i < deadAhead && haveCkpt; i++ {
-					if exhausted() {
-						haveCkpt = false
-						break
-					}
-					bo := p.backoff(attempts)
-					failoverDelay += p.c.P.ReplicaFailoverTimeout + bo
-					probeNS += p.c.P.ReplicaFailoverTimeout
-					backoffNS += bo
-					attempts++
-					p.c.Faults.Counters.Retries.Inc()
-				}
-				if haveCkpt {
-					p.rep.C.Failovers.Inc()
-				}
-			}
-		}
+// exhausted reports whether s has spent its retry budget, counting
+// retry_exhausted when it has. An exhausted request degrades to a
+// scratch cold start rather than counting as a generic fallback.
+func (p *Porter) exhausted(s *spawn) bool {
+	if budget := p.c.P.RestoreRetryBudget; budget > 0 && s.attempts >= budget {
+		p.c.Faults.Counters.RetryExhausted.Inc()
+		return true
 	}
+	return false
+}
 
-	pol := st.policy
-	var prof Profile
-	var pages int
-	var dur des.Time
-	var remoteCopy des.Time
-	var node *nodeState
-	var useGhost bool
-	for {
-		if haveCkpt {
-			prof = p.profile(fn, pol)
-			pages = prof.LocalPages
-			remoteCopy = p.jitter(prof.RemoteCopy)
-			dur = p.jitter(prof.Restore + prof.ColdExec - prof.RemoteCopy)
-		} else {
-			prof = p.profile(fn, rfork.MigrateOnWrite)
-			pages = prof.FootprintPages
-			remoteCopy = 0
-			dur = p.jitter(prof.ColdInit + prof.ColdInitExec)
+// chooseSource looks up fn's checkpoint and walks its replica
+// preference list. A dead device ahead of the first healthy replica
+// costs a probe timeout plus one backed-off retry, charged to the
+// spawn in virtual time. An image with no healthy replica left is
+// lost: drop it (and its snapshot: the data is gone, re-publication
+// cannot resurrect it) and serve the request from scratch.
+func (p *Porter) chooseSource(s *spawn) {
+	img, ok := p.store.Get(p.cfg.User, s.fn)
+	if !ok {
+		return
+	}
+	s.img = img
+	rimg, ok := img.(*replica.Image)
+	if p.rep == nil || !ok {
+		return
+	}
+	healthy, deadAhead := p.rep.Probe(rimg.Key())
+	switch {
+	case healthy == 0:
+		p.res.FailedRestores++
+		p.store.Reclaim(p.cfg.User, s.fn)
+		delete(p.snaps, s.fn)
+		s.img = nil
+	case deadAhead > 0:
+		for i := 0; i < deadAhead; i++ {
+			if p.exhausted(s) {
+				s.img = nil
+				return
+			}
+			s.led[xray.Probe] += p.c.P.ReplicaFailoverTimeout
+			s.led[xray.Backoff] += p.backoff(s.attempts)
+			s.attempts++
+			p.c.Faults.Counters.Retries.Inc()
 		}
+		p.rep.C.Failovers.Inc()
+	}
+}
 
-		node, useGhost = p.placeOn(fn, pages, excluded)
-		if node == nil {
+// place prices the spawn from its profile and picks a node for it. A
+// restore whose target node is down retries on another node after a
+// backoff, within the retry budget; a transient device-full (or other
+// image trouble) degrades the spawn to a scratch cold start, which
+// needs no device capacity. It reports false when no node can host
+// the spawn.
+func (p *Porter) place(s *spawn) bool {
+	s.pol = p.fns[s.fn].policy
+	var core des.Time
+	for {
+		if s.img != nil {
+			s.prof = p.profile(s.fn, s.pol)
+			s.pages = s.prof.LocalPages
+			s.remoteCopy = p.jitter(s.prof.RemoteCopy)
+			core = p.jitter(s.prof.Restore + s.prof.ColdExec - s.prof.RemoteCopy)
+		} else {
+			s.prof = p.profile(s.fn, rfork.MigrateOnWrite)
+			s.pages = s.prof.FootprintPages
+			s.remoteCopy = 0
+			core = p.jitter(s.prof.ColdInit + s.prof.ColdInitExec)
+		}
+		s.node, s.useGhost = p.placeOn(s.fn, s.pages, s.excluded)
+		if s.node == nil {
 			return false
 		}
-		if !haveCkpt {
+		if s.img == nil {
 			break
 		}
-		err := p.c.Faults.At(faultinject.StepPorterRestore, node.os.Index)
+		err := p.c.Faults.At(faultinject.StepPorterRestore, s.node.os.Index)
 		if err == nil {
 			break
 		}
-		if errors.Is(err, rfork.ErrNodeDown) {
-			// The restore target died: retry on an alternate node after
-			// a backed-off delay, if the request's budget allows it.
-			if excluded == nil {
-				excluded = make(map[*nodeState]bool)
-			}
-			excluded[node] = true
-			p.c.Faults.Counters.Retries.Inc()
-			if exhausted() {
-				haveCkpt = false
-				continue
-			}
-			bo := p.backoff(attempts)
-			failoverDelay += bo
-			backoffNS += bo
-			attempts++
+		if !errors.Is(err, rfork.ErrNodeDown) {
+			s.img = nil
+			p.c.Faults.Counters.Fallbacks.Inc()
 			continue
 		}
-		// Transient device-full (or other image trouble): degrade this
-		// spawn to a scratch cold start, which needs no device capacity.
-		haveCkpt = false
-		p.c.Faults.Counters.Fallbacks.Inc()
+		if s.excluded == nil {
+			s.excluded = make(map[*nodeState]bool)
+		}
+		s.excluded[s.node] = true
+		p.c.Faults.Counters.Retries.Inc()
+		if p.exhausted(s) {
+			s.img = nil
+			continue
+		}
+		s.led[xray.Backoff] += p.backoff(s.attempts)
+		s.attempts++
 	}
 	// Blame split of the jittered service core: the restore (or
 	// cold-init) share versus execution, proportional to the profile's
 	// unjittered parts with the integer remainder charged to exec, so
-	// the per-request component sum stays exact.
-	core := dur
-	var restoreSvc des.Time
-	restoreComp := xray.CompRestore
-	if haveCkpt {
-		if denom := prof.Restore + prof.ColdExec - prof.RemoteCopy; denom > 0 {
-			restoreSvc = des.Time(int64(core) * int64(prof.Restore) / int64(denom))
-		}
-	} else {
-		restoreComp = xray.CompColdInit
-		if denom := prof.ColdInit + prof.ColdInitExec; denom > 0 {
-			restoreSvc = des.Time(int64(core) * int64(prof.ColdInit) / int64(denom))
-		}
+	// the service slots sum to the CPU charge exactly.
+	slot, share, denom := xray.Restore, s.prof.Restore, s.prof.Restore+s.prof.ColdExec-s.prof.RemoteCopy
+	if s.img == nil {
+		slot, share, denom = xray.ColdInit, s.prof.ColdInit, s.prof.ColdInit+s.prof.ColdInitExec
 	}
-	execSvc := core - restoreSvc
-	dur += failoverDelay
+	if denom > 0 {
+		s.led[slot] = des.Time(int64(core) * int64(share) / int64(denom))
+	}
+	s.led[xray.Exec] = core - s.led[slot]
+	return true
+}
 
-	// Fabric charge: price the restore's path latency and per-link
-	// stream contention from the nearest healthy replica to the chosen
-	// node (DESIGN.md §14). The stream is sized by the image's full
-	// footprint — a cold fork's remote traffic is the whole resident
-	// image, read over the fabric across restore and first execution —
-	// so a restore storm against one device genuinely saturates that
-	// device's link. Only non-trivial topologies carry a Net, and only
-	// the differential over the flat single-hop baseline is added —
-	// the flat model stays byte-identical.
-	var fabricExtra des.Time
-	devIdx := -1
-	if haveCkpt && p.fabNet != nil {
-		host := p.c.HostOf(node.os.Index)
-		dev := 0
+// priceFabric charges a restore's path latency and per-link stream
+// contention from the nearest healthy replica to the chosen node
+// (DESIGN.md §14), then records the restore latency. The stream is
+// sized by the image's full footprint — a cold fork's remote traffic
+// is the whole resident image, read over the fabric across restore and
+// first execution — so a restore storm against one device genuinely
+// saturates that device's link. Only non-trivial topologies carry a
+// Net, and only the differential over the flat single-hop baseline is
+// charged, so the flat model stays byte-identical.
+func (p *Porter) priceFabric(s *spawn) {
+	if s.img == nil {
+		return
+	}
+	if p.fabNet != nil {
+		host := p.c.HostOf(s.node.os.Index)
+		s.dev = 0
 		if p.rep != nil {
-			if rimg, ok := img.(*replica.Image); ok {
+			if rimg, ok := s.img.(*replica.Image); ok {
 				if d := p.rep.NearestHealthy(rimg.Key(), host); d >= 0 {
-					dev = d
+					s.dev = d
 				}
 			}
 		}
-		fabricExtra = p.fabNet.Restore(host, dev, prof.FootprintPages, p.c.Eng.Now())
-		dur += fabricExtra
-		devIdx = dev
+		s.led[xray.Fabric] = p.fabNet.Restore(host, s.dev, s.prof.FootprintPages, p.c.Eng.Now())
 	}
-	if haveCkpt && p.res.RestoreLatency != nil {
-		p.res.RestoreLatency.Record(prof.Restore + failoverDelay + fabricExtra)
+	// The restore tail is the profile's unjittered restore plus what
+	// failover and placement add to it (DESIGN.md §16, Ledger).
+	if p.res.RestoreLatency != nil {
+		p.res.RestoreLatency.Record(s.prof.Restore + s.led[xray.Probe] + s.led[xray.Backoff] + s.led[xray.Fabric])
 	}
+}
 
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
-	ownsCtr := false
-	var containerNS des.Time
-	if useGhost && haveCkpt {
-		node.ghosts[fn]--
-		dur += p.c.P.GhostContainerTrigger
-		containerNS = p.c.P.GhostContainerTrigger
-		p.replenishGhosts(node, fn)
+// bringUp provisions the spawn's container, a ghost's trigger or a
+// fresh container, charges its pages to the node and returns the new
+// instance. A restore pins its image until the instance finishes:
+// eviction may drop it from the store meanwhile, but its frames must
+// outlive every in-flight restore (the eviction-safety invariant).
+func (p *Porter) bringUp(s *spawn, req *pending) *instance {
+	node, pages, ownsCtr := s.node, s.pages, false
+	if s.useGhost && s.img != nil {
+		node.ghosts[s.fn]--
+		s.led[xray.Container] = p.c.P.GhostContainerTrigger
+		p.replenishGhosts(node, s.fn)
 	} else {
 		// Fresh container: creation cost plus its fixed overhead.
-		dur += p.c.P.ContainerCreate
-		containerNS = p.c.P.ContainerCreate
-		pages += ghostPages
+		s.led[xray.Container] = p.c.P.ContainerCreate
+		pages += p.ghostPages
 		ownsCtr = true
 	}
 	node.usedPages += pages
 	p.observeMem()
 
-	inst := &instance{fn: fn, node: node, policy: pol, pages: pages, ownsCtr: ownsCtr, state: instSpawning}
+	inst := &instance{fn: s.fn, node: node, policy: s.pol, pages: pages, ownsCtr: ownsCtr,
+		state: instSpawning, led: s.led, dev: s.dev}
 	node.all[inst] = true
 	req.cold = true
-	if haveCkpt {
-		p.res.ColdForks++
-		// Pin the image for the duration of the restore: eviction may
-		// drop it from the store meanwhile, but its frames must outlive
-		// every in-flight restore (the eviction-safety invariant).
-		img.Retain()
-		p.store.Touch(p.cfg.User, fn, p.c.Eng.Now())
-		if st := p.fns[fn]; st != nil {
-			st.scoreBase = p.agingL
-		}
-	} else {
+	if s.img == nil {
 		p.res.ScratchCold++
+		return inst
 	}
-	spanName := "fork-restore"
-	if !haveCkpt {
-		spanName = "scratch-cold"
+	p.res.ColdForks++
+	s.img.Retain()
+	p.store.Touch(p.cfg.User, s.fn, p.c.Eng.Now())
+	if st := p.fns[s.fn]; st != nil {
+		st.scoreBase = p.agingL
 	}
-	restored := haveCkpt
-	// cpuSubmit is when the spawn reached the CPU queue (after any
-	// Mitosis uplink copy); uplinkNS is that copy's full span
-	// including its stream-slot queueing.
-	cpuSubmit := t0
-	var uplinkNS des.Time
-	finish := func(end des.Time) {
-		span := p.c.Trace.EmitFlow(node.os.Index, trace.CatPorter, spanName, end-dur, dur, 0, pages)
-		if p.c.XRay.Enabled() {
-			execStart := end - dur
-			// Restore blame accrued toward a request that degraded to
-			// a scratch cold start never reaches the restore-latency
-			// recorder — account it as unattributed instead of losing
-			// it (the NewDES lookahead / per-link charge drop fix).
-			var unattr des.Time
-			if !restored {
-				unattr = probeNS + backoffNS
-			}
-			p.c.XRay.Observe(xray.Request{
-				Class:   spanName,
-				Name:    fn,
-				Span:    int(span),
-				Arrived: int64(req.arrived),
-				Latency: int64(end - req.arrived),
-				Device:  devIdx,
-				Components: []xray.Component{
-					{Name: xray.CompPorterQueue, NS: int64(t0 - req.arrived)},
-					{Name: xray.CompUplink, NS: int64(uplinkNS)},
-					{Name: xray.CompCPUQueue, NS: int64(execStart - cpuSubmit)},
-					{Name: xray.CompProbe, NS: int64(probeNS)},
-					{Name: xray.CompBackoff, NS: int64(backoffNS)},
-					{Name: xray.CompFabric, NS: int64(fabricExtra)},
-					{Name: restoreComp, NS: int64(restoreSvc)},
-					{Name: xray.CompContainer, NS: int64(containerNS)},
-					{Name: xray.CompExec, NS: int64(execSvc)},
-				},
-				UnattributedNS: int64(unattr),
-			})
-		}
-		if restored {
-			img.Release()
-		}
-		inst.warmRuns++
-		p.complete(inst, req, end)
+	return inst
+}
+
+// launch runs the spawned instance: a Mitosis spawn first pulls its
+// pages through the parent node's uplink, then every spawn runs the
+// rest of its cold start on a local core.
+func (p *Porter) launch(s *spawn, inst *instance, req *pending) {
+	class, img := classScratch, s.img
+	if img != nil {
+		class = classFork
 	}
-	if remoteCopy > 0 {
-		// Pull the pages through the parent node's uplink first, then
-		// run the rest of the cold start on a local core.
-		upStart := p.c.Eng.Now()
-		p.parentUplink.Exec(remoteCopy, func(upEnd des.Time) {
-			uplinkNS = upEnd - upStart
-			cpuSubmit = upEnd
-			node.cpu.Exec(dur, finish)
-		})
-	} else {
-		node.cpu.Exec(dur, finish)
+	if s.remoteCopy <= 0 {
+		p.runOnCore(inst, req, class, img)
+		return
 	}
-	return true
+	upStart := p.c.Eng.Now()
+	p.parentUplink.Exec(s.remoteCopy, func(upEnd des.Time) {
+		inst.led[xray.Uplink] = upEnd - upStart
+		p.runOnCore(inst, req, class, img)
+	})
 }
 
 // replenishGhosts provisions a fresh ghost container in the background
@@ -583,25 +610,24 @@ func (p *Porter) trySpawn(fn string, req *pending) bool {
 // configured size (§5 maintains "a few configured but empty containers
 // per function").
 func (p *Porter) replenishGhosts(node *nodeState, fn string) {
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	if node.ghosts[fn] >= p.cfg.GhostsPerFunction {
 		return
 	}
-	if node.freePages() < ghostPages {
+	if node.freePages() < p.ghostPages {
 		// The consuming node is full: fall back to the least-loaded
 		// surviving node with room, preferring one that already hosts fn
 		// (a dedup-warm placement — see placeOn).
-		node = p.ghostFallback(fn, ghostPages)
+		node = p.ghostFallback(fn)
 		if node == nil {
 			return
 		}
 	}
 	p.c.Eng.After(p.c.P.ContainerCreate, func() {
-		if node.ghosts[fn] >= p.cfg.GhostsPerFunction || node.freePages() < ghostPages {
+		if node.ghosts[fn] >= p.cfg.GhostsPerFunction || node.freePages() < p.ghostPages {
 			return
 		}
 		node.ghosts[fn]++
-		node.usedPages += ghostPages
+		node.usedPages += p.ghostPages
 		p.observeMem()
 		p.pump()
 	})
@@ -638,10 +664,7 @@ func (p *Porter) placeOn(fn string, pages int, excluded map[*nodeState]bool) (*n
 	// keep-alive shortening handles the steady state, §5).
 	for _, n := range cands {
 		if p.evictFor(n, pages) {
-			if p.ghostsCompatible() && n.ghosts[fn] > 0 {
-				return n, true
-			}
-			return n, false
+			return n, p.ghostsCompatible() && n.ghosts[fn] > 0
 		}
 	}
 	return nil, false
@@ -681,12 +704,11 @@ func (p *Porter) destroy(in *instance) {
 	p.removeIdle(in)
 	in.state = instDead
 	delete(in.node.all, in)
-	ghostPages := int(p.c.P.GhostContainerBytes / int64(p.c.P.PageSize))
 	release := in.pages
 	if p.ghostsCompatible() {
 		if in.ownsCtr {
 			// The sandbox overhead stays allocated and joins the pool.
-			release -= ghostPages
+			release -= p.ghostPages
 		}
 		in.node.ghosts[in.fn]++
 	}

@@ -148,9 +148,6 @@ func (t *Tree) Lookup(va VirtAddr) (PTE, bool) {
 	return l.PTEs[index(va, 1)], true
 }
 
-// LeafFor returns the leaf covering va, or nil.
-func (t *Tree) LeafFor(va VirtAddr) *Leaf { return t.leaf(va) }
-
 func (t *Tree) leaf(va VirtAddr) *Leaf {
 	n := t.root
 	for lvl := Levels; lvl > 2; lvl-- {

@@ -252,13 +252,6 @@ func (m *Manager) QueueDepth() int {
 	return len(m.queue)
 }
 
-// Running returns the number of sessions currently replaying.
-func (m *Manager) Running() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.running
-}
-
 // Drain shuts the manager down: new submissions are rejected with
 // ErrDraining, queued sessions are aborted with reason "shutdown", and
 // running sessions are given until ctx's deadline to finish before

@@ -17,6 +17,13 @@
 //   - exemplars: the top-K worst requests per class with their trace
 //     span IDs, so a P99 metric links directly to the trace behind it.
 //
+// Entry points: the porter writes each request's latency once into an
+// xray.Ledger (ledger.go), one slot per component; its Service is the
+// CPU charge, its Sum the end-to-end latency, and Components the
+// decomposition fed to Attributor.Observe. New builds an attributor,
+// Report snapshots it, and FromSpans derives a report from trace
+// spans.
+//
 // Attribution is purely observational: the attributor never advances a
 // clock, draws randomness, or schedules events, so enabling it cannot
 // change any simulated result. A nil *Attributor is the disabled

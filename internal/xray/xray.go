@@ -145,8 +145,9 @@ func New(topo *fabric.Topology, topK int) *Attributor {
 // caller-side component capture beyond the Observe call itself.
 func (a *Attributor) Enabled() bool { return a != nil }
 
-// Observe folds one completed request into the aggregates. Safe on a
-// nil attributor (no-op).
+// Observe folds one completed request into the aggregates. It does not
+// keep r.Components, so a caller may reuse the slice for the next
+// request. Safe on a nil attributor (no-op).
 func (a *Attributor) Observe(r Request) {
 	if a == nil {
 		return
