@@ -14,15 +14,30 @@ type node struct {
 
 const nilIdx = -1
 
+// bucket is one slot of the open-addressing index from a resident key
+// to its node. slot holds the node index plus one, so zero marks an
+// empty bucket and key 0 stays a legal key.
+type bucket struct {
+	key  Line
+	slot int32
+}
+
 // PageLRU is an exact-LRU fully-associative cache tracked at page
 // granularity.
+//
+// Residency is indexed by a flat linear-probing table instead of a Go
+// map: the table is a power of two at least twice the capacity, so
+// probes stay short, deletion shifts displaced entries back rather than
+// leaving tombstones, and Reset clears it in place.
 type PageLRU struct {
 	capacity int
 	nodes    []node
 	head     int32 // MRU
 	tail     int32 // LRU
-	items    map[Line]int32
 	free     []int32
+	index    []bucket
+	shift    uint // 64 - log2(len(index)): hash bits to keep
+	resident int
 
 	Hits   int64
 	Misses int64
@@ -33,20 +48,64 @@ func NewPageLRU(capacityPages int) *PageLRU {
 	if capacityPages <= 0 {
 		panic("cachesim: capacity must be positive")
 	}
-	c := &PageLRU{
+	bits := uint(1)
+	for 1<<bits < 2*capacityPages {
+		bits++
+	}
+	return &PageLRU{
 		capacity: capacityPages,
 		head:     nilIdx,
 		tail:     nilIdx,
-		items:    make(map[Line]int32, capacityPages),
+		index:    make([]bucket, 1<<bits),
+		shift:    64 - bits,
 	}
-	return c
 }
 
 // Capacity returns the capacity in pages.
 func (c *PageLRU) Capacity() int { return c.capacity }
 
 // Len returns the number of resident pages.
-func (c *PageLRU) Len() int { return len(c.items) }
+func (c *PageLRU) Len() int { return c.resident }
+
+// home returns key's preferred bucket: Fibonacci hashing keeps the top
+// bits of the product, which every key bit feeds.
+func (c *PageLRU) home(key Line) int {
+	return int((key * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// find returns the bucket holding key, or the empty bucket where the
+// probe for it ends.
+func (c *PageLRU) find(key Line) int {
+	mask := len(c.index) - 1
+	i := c.home(key)
+	for c.index[i].slot != 0 && c.index[i].key != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove empties bucket i, shifting later members of its probe run back
+// so every remaining key stays reachable from its home bucket. It
+// returns the bucket left empty, the only one the removal frees.
+func (c *PageLRU) remove(i int) int {
+	mask := len(c.index) - 1
+	j := i
+	for {
+		j = (j + 1) & mask
+		if c.index[j].slot == 0 {
+			break
+		}
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j]: moving it before its home would hide it.
+		if h := c.home(c.index[j].key); (j-h)&mask >= (j-i)&mask {
+			c.index[i] = c.index[j]
+			i = j
+		}
+	}
+	c.index[i] = bucket{}
+	c.resident--
+	return i
+}
 
 func (c *PageLRU) unlink(i int32) {
 	n := &c.nodes[i]
@@ -78,7 +137,9 @@ func (c *PageLRU) pushFront(i int32) {
 // Access touches key, returning true on hit. On miss the key is
 // installed, evicting the LRU page if the cache is full.
 func (c *PageLRU) Access(key Line) bool {
-	if i, ok := c.items[key]; ok {
+	b := c.find(key)
+	if s := c.index[b].slot; s != 0 {
+		i := s - 1
 		if c.head != i {
 			c.unlink(i)
 			c.pushFront(i)
@@ -89,11 +150,17 @@ func (c *PageLRU) Access(key Line) bool {
 	c.Misses++
 	var i int32
 	switch {
-	case len(c.items) >= c.capacity:
-		// Reuse the LRU slot.
+	case c.resident >= c.capacity:
+		// Reuse the LRU slot. The shift stops at the empty bucket b,
+		// so b stays empty; but if the hole it leaves lies between
+		// key's home and b, key belongs in the hole instead.
 		i = c.tail
 		c.unlink(i)
-		delete(c.items, c.nodes[i].key)
+		hole := c.remove(c.find(c.nodes[i].key))
+		mask := len(c.index) - 1
+		if h := c.home(key); (hole-h)&mask < (b-h)&mask {
+			b = hole
+		}
 	case len(c.free) > 0:
 		i = c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
@@ -103,22 +170,23 @@ func (c *PageLRU) Access(key Line) bool {
 	}
 	c.nodes[i].key = key
 	c.pushFront(i)
-	c.items[key] = i
+	c.index[b] = bucket{key: key, slot: i + 1}
+	c.resident++
 	return false
 }
 
 // Contains reports residency without touching recency or counters.
 func (c *PageLRU) Contains(key Line) bool {
-	_, ok := c.items[key]
-	return ok
+	return c.index[c.find(key)].slot != 0
 }
 
 // Invalidate removes key if resident (page migration, frame free).
 func (c *PageLRU) Invalidate(key Line) {
-	if i, ok := c.items[key]; ok {
-		c.unlink(i)
-		delete(c.items, key)
-		c.free = append(c.free, i)
+	b := c.find(key)
+	if s := c.index[b].slot; s != 0 {
+		c.unlink(s - 1)
+		c.remove(b)
+		c.free = append(c.free, s-1)
 	}
 }
 
@@ -127,7 +195,8 @@ func (c *PageLRU) Reset() {
 	c.nodes = c.nodes[:0]
 	c.free = c.free[:0]
 	c.head, c.tail = nilIdx, nilIdx
-	c.items = make(map[Line]int32, c.capacity)
+	clear(c.index)
+	c.resident = 0
 	c.Hits, c.Misses = 0, 0
 }
 

@@ -73,10 +73,6 @@ func (c *Checkpoint) LocalBytes() int64 { return 0 }
 // footprint). The capacity manager sizes eviction passes with this.
 func (c *Checkpoint) ReclaimableBytes() int64 { return c.arena.ExclusiveBytes() }
 
-// SharedBytes returns bytes of this image's data frames that are
-// dedup-shared with other live images.
-func (c *Checkpoint) SharedBytes() int64 { return c.arena.SharedBytes() }
-
 // FrameTokens returns the content tokens of the image's data frames, in
 // tracking order — a re-publish recipe: allocating these tokens through
 // the device's dedup index (Device.AllocToken) rebuilds an equivalent
@@ -105,10 +101,6 @@ func (c *Checkpoint) FilePages() int { return c.filePages }
 
 // VMACount returns the number of checkpointed VMAs.
 func (c *Checkpoint) VMACount() int { return c.vmaCount }
-
-// DedupHits returns how many of this checkpoint's pages were satisfied
-// by the device's content-addressed frame cache instead of a fresh copy.
-func (c *Checkpoint) DedupHits() int { return c.dedupHits }
 
 // PTLeaves returns the number of checkpointed page-table leaves.
 func (c *Checkpoint) PTLeaves() int { return len(c.ptLeaves) }

@@ -65,10 +65,6 @@ func (a *Arena) Occupancy() Occupancy {
 // free right now: metadata plus frames no other owner references.
 func (a *Arena) ExclusiveBytes() int64 { return a.Occupancy().Reclaimable() }
 
-// SharedBytes returns bytes of distinct frames this arena shares with
-// other live owners.
-func (a *Arena) SharedBytes() int64 { return a.Occupancy().SharedFrames }
-
 // DeviceOccupancy aggregates arena occupancy across the whole device.
 type DeviceOccupancy struct {
 	// Arenas is the number of live checkpoint arenas.

@@ -64,14 +64,6 @@ func UniformShards(n, chunk int, setupPerUnit, unitCost Time) []Shard {
 	return shards
 }
 
-// PipelineTime folds shards into virtual time. One lane returns the
-// exact serial sum without running the event loop — provably equal to
-// Makespan(1, ...) (see tests) and byte-identical to the historical
-// sequential accounting. More lanes run the contention model.
-func PipelineTime(lanes, streams int, dispatch Time, shards []Shard) Time {
-	return PipelineTimeObs(lanes, streams, dispatch, shards, nil)
-}
-
 // ShardObserver receives one callback per shard as the pipeline
 // schedules it: the shard's index in the input slice, the lane it ran
 // on, and its [start, end) interval relative to the pipeline's time
@@ -81,8 +73,12 @@ func PipelineTime(lanes, streams int, dispatch Time, shards []Shard) Time {
 // render per-lane shard spans.
 type ShardObserver func(shard, lane int, start, end Time)
 
-// PipelineTimeObs is PipelineTime with a shard observer. On the serial
-// path the shards are laid out back-to-back on lane 0.
+// PipelineTimeObs folds shards into virtual time. One lane returns the
+// exact serial sum without running the event loop — provably equal to
+// Makespan(1, ...) (see tests) and byte-identical to the historical
+// sequential accounting. More lanes run the contention model. A
+// non-nil observer sees every shard; on the serial path the shards are
+// laid out back-to-back on lane 0.
 func PipelineTimeObs(lanes, streams int, dispatch Time, shards []Shard, obs ShardObserver) Time {
 	if lanes <= 1 {
 		if obs == nil {

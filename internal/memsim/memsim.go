@@ -79,36 +79,66 @@ func (f *Frame) Get() *Frame {
 // the counter must be atomic; the ids themselves never cross legs.
 var poolIDs atomic.Uint32
 
-// Pool is a fixed-capacity set of frames.
+// chunkFrames is how many frames a pool materializes at once. Frames
+// live in fixed-size chunks so their addresses never move, and a pool
+// pays for the chunks its allocations reach, not for its capacity.
+const (
+	chunkShift  = 12
+	chunkFrames = 1 << chunkShift
+)
+
+// Pool is a fixed-capacity set of frames, materialized lazily.
+//
+// Pfns below the high-water mark next have been handed out at least
+// once; the ones above it have never been allocated and are free by
+// construction. Alloc pops the stack of freed pfns first and only then
+// advances the mark, which is exactly the order an eagerly built pool
+// whose free stack starts as [capacity-1 … 0] pops in: most recently
+// freed first, else the lowest never-used pfn.
 type Pool struct {
 	name     string
 	id       uint32
 	kind     Kind
 	pageSize int
 
-	frames []Frame
-	free   []int // stack of free pfns
-	used   int
+	capacity int
+	chunks   []*[chunkFrames]Frame // nil until a frame in it is reached
+	next     int                   // high-water mark of handed-out pfns
+	free     []int                 // stack of freed pfns, all below next
+	used     int
 
 	peakUsed int
 }
 
-// NewPool creates a pool with capacity bytes of pageSize pages.
+// NewPool creates a pool with capacity bytes of pageSize pages. Only
+// the chunk table is allocated up front: one pointer per chunkFrames
+// frames of capacity.
 func NewPool(name string, kind Kind, capacityBytes int64, pageSize int) *Pool {
 	if pageSize <= 0 || capacityBytes <= 0 {
 		panic("memsim: invalid pool geometry")
 	}
 	n := int(capacityBytes / int64(pageSize))
-	p := &Pool{name: name, id: poolIDs.Add(1), kind: kind, pageSize: pageSize}
-	p.frames = make([]Frame, n)
-	p.free = make([]int, n)
-	for i := range p.frames {
-		p.frames[i].pool = p
-		p.frames[i].pfn = i
-		// Pop order low-to-high for deterministic PFNs.
-		p.free[i] = n - 1 - i
+	return &Pool{
+		name: name, id: poolIDs.Add(1), kind: kind, pageSize: pageSize,
+		capacity: n,
+		chunks:   make([]*[chunkFrames]Frame, (n+chunkFrames-1)>>chunkShift),
 	}
-	return p
+}
+
+// frame returns the frame for an in-range pfn, materializing its chunk
+// on first reach.
+func (p *Pool) frame(pfn int) *Frame {
+	c := p.chunks[pfn>>chunkShift]
+	if c == nil {
+		c = new([chunkFrames]Frame)
+		base := pfn &^ (chunkFrames - 1)
+		for i := range c {
+			c[i].pool = p
+			c[i].pfn = base + i
+		}
+		p.chunks[pfn>>chunkShift] = c
+	}
+	return &c[pfn&(chunkFrames-1)]
 }
 
 // Name returns the pool name.
@@ -121,7 +151,13 @@ func (p *Pool) Kind() Kind { return p.kind }
 func (p *Pool) PageSize() int { return p.pageSize }
 
 // CapacityPages returns the total number of frames.
-func (p *Pool) CapacityPages() int { return len(p.frames) }
+func (p *Pool) CapacityPages() int { return p.capacity }
+
+// TouchedPages returns the high-water mark of handed-out pfns: every
+// pfn in [0, TouchedPages()) has been allocated at least once, and
+// every pfn at or above it never has, so it is free with no references.
+// Audits that walk a pool's frames stop here to stay lazy.
+func (p *Pool) TouchedPages() int { return p.next }
 
 // UsedPages returns the number of allocated frames.
 func (p *Pool) UsedPages() int { return p.used }
@@ -133,11 +169,11 @@ func (p *Pool) PeakUsedPages() int { return p.peakUsed }
 func (p *Pool) UsedBytes() int64 { return int64(p.used) * int64(p.pageSize) }
 
 // FreePages returns the number of free frames.
-func (p *Pool) FreePages() int { return len(p.frames) - p.used }
+func (p *Pool) FreePages() int { return p.capacity - p.used }
 
 // Utilization returns used/capacity in [0,1].
 func (p *Pool) Utilization() float64 {
-	return float64(p.used) / float64(len(p.frames))
+	return float64(p.used) / float64(p.capacity)
 }
 
 // ResetPeak resets the high-water mark to the current usage.
@@ -145,12 +181,18 @@ func (p *Pool) ResetPeak() { p.peakUsed = p.used }
 
 // Alloc returns a zeroed frame with refcount 1.
 func (p *Pool) Alloc() (*Frame, error) {
-	if len(p.free) == 0 {
-		return nil, fmt.Errorf("%w: pool %q (%d pages)", ErrOutOfMemory, p.name, len(p.frames))
+	var pfn int
+	switch {
+	case len(p.free) > 0:
+		pfn = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	case p.next < p.capacity:
+		pfn = p.next
+		p.next++
+	default:
+		return nil, fmt.Errorf("%w: pool %q (%d pages)", ErrOutOfMemory, p.name, p.capacity)
 	}
-	pfn := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	f := &p.frames[pfn]
+	f := p.frame(pfn)
 	f.Data = 0
 	f.refs = 1
 	f.gen++
@@ -186,14 +228,16 @@ func (p *Pool) Put(f *Frame) {
 	}
 }
 
-// Frame returns the frame with the given pfn. It panics on a pfn outside
-// the pool — dereferencing a dangling rebased pointer is a checkpoint
-// format bug the tests must surface loudly.
+// Frame returns the frame with the given pfn, materializing its chunk
+// if no allocation has reached it yet (a never-allocated frame is free
+// and zeroed). It panics on a pfn outside the pool — dereferencing a
+// dangling rebased pointer is a checkpoint format bug the tests must
+// surface loudly.
 func (p *Pool) Frame(pfn int) *Frame {
-	if pfn < 0 || pfn >= len(p.frames) {
+	if pfn < 0 || pfn >= p.capacity {
 		panic(fmt.Sprintf("memsim: pfn %d out of range for pool %q", pfn, p.name))
 	}
-	return &p.frames[pfn]
+	return p.frame(pfn)
 }
 
 // Copy duplicates src's contents into dst (token copy).

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -262,6 +265,72 @@ func TestValidate(t *testing.T) {
 				t.Fatal("Submit accepted an invalid spec")
 			}
 		})
+	}
+}
+
+// hostileSpecs sets one size knob past its admission cap each. The
+// 2^60-byte node would be cheap to describe and impossible to build.
+var hostileSpecs = []struct {
+	field string
+	mut   func(*ConfigSpec)
+}{
+	{"config.nodes", func(c *ConfigSpec) { c.Nodes = MaxNodes + 1 }},
+	{"config.cores", func(c *ConfigSpec) { c.Cores = MaxCores + 1 }},
+	{"config.checkpoint_lanes", func(c *ConfigSpec) { c.CheckpointLanes = MaxLanes + 1 }},
+	{"config.restore_lanes", func(c *ConfigSpec) { c.RestoreLanes = MaxLanes + 1 }},
+	{"config.workers", func(c *ConfigSpec) { c.Workers = MaxWorkers + 1 }},
+	{"config.node_dram_bytes", func(c *ConfigSpec) { c.NodeDRAMBytes = 1 << 60 }},
+	{"config.cxl_capacity_bytes", func(c *ConfigSpec) { c.CXLCapacityBytes = MaxCXLCapacityBytes + 1 }},
+	{"config.replication.devices", func(c *ConfigSpec) { c.Replication.Devices = MaxDevices + 1 }},
+	{"config.telemetry.series_cap", func(c *ConfigSpec) { c.Telemetry.SeriesCap = 1 << 40 }},
+	{"config.nodes", func(c *ConfigSpec) { c.Nodes = -1 }},
+}
+
+// TestHostileSpecRejectedBeforeSession proves admission bounds every
+// size knob: each hostile spec fails Submit with an error naming its
+// field, and the manager never creates, queues or counts a session for
+// it — nothing sized from the spec is built. Over HTTP the same specs
+// answer 400.
+func TestHostileSpecRejectedBeforeSession(t *testing.T) {
+	m := NewManager(Config{})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	for _, tc := range hostileSpecs {
+		spec := fastSpec()
+		tc.mut(&spec.Config)
+		s, err := m.Submit(spec)
+		if err == nil || s != nil {
+			t.Fatalf("%s: Submit accepted a hostile spec", tc.field)
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
+		resp := postSpec(t, srv.Client(), srv.URL+"/v1/sessions", spec)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST status %d, want 400", tc.field, resp.StatusCode)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.seq != 0 || m.accepted != 0 || len(m.byID) != 0 || len(m.queue) != 0 || m.running != 0 {
+		t.Fatalf("hostile specs left state: seq=%d accepted=%d sessions=%d queued=%d running=%d",
+			m.seq, m.accepted, len(m.byID), len(m.queue), m.running)
+	}
+}
+
+// TestValidateAcceptsCaps checks every cap is inclusive: a knob set to
+// its maximum passes validation.
+func TestValidateAcceptsCaps(t *testing.T) {
+	spec := fastSpec()
+	spec.Config = ConfigSpec{
+		Nodes: MaxNodes, Cores: MaxCores, CheckpointLanes: MaxLanes, RestoreLanes: MaxLanes,
+		Workers: MaxWorkers, NodeDRAMBytes: MaxNodeDRAMBytes, CXLCapacityBytes: MaxCXLCapacityBytes,
+		Replication: ReplicationSpec{Devices: MaxDevices},
+		Telemetry:   TelemetrySpec{SeriesCap: MaxSeriesCap},
+	}
+	if err := spec.Validate(0); err != nil {
+		t.Fatalf("spec at every cap rejected: %v", err)
 	}
 }
 

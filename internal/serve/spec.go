@@ -182,9 +182,51 @@ type SessionSpec struct {
 // simulation limit.
 const MaxRPS = 100000
 
+// Admission caps on the platform size knobs. Frame pools are built
+// lazily, so a large node costs only the pages it touches, but each
+// pool's chunk table, each node's cache model and each telemetry
+// series ring are still sized from these knobs up front. The caps keep
+// what one POST can make the server allocate bounded; every one is far
+// above the paper's testbed.
+const (
+	MaxNodes            = 64
+	MaxCores            = 256 // per node
+	MaxLanes            = 64  // checkpoint and restore lanes each
+	MaxWorkers          = 64
+	MaxNodeDRAMBytes    = 1 << 40 // 1 TiB per node
+	MaxCXLCapacityBytes = 4 << 40 // 4 TiB across the device pool
+	MaxDevices          = 64
+	MaxSeriesCap        = 1 << 16 // samples per telemetry series
+)
+
+// checkRange reports a size knob outside [0, max], naming its JSON
+// field. Zero keeps the facade default.
+func checkRange[T int | int64](field string, v, max T) error {
+	if v < 0 || v > max {
+		return fmt.Errorf("%s %d out of range [0,%d]", field, v, max)
+	}
+	return nil
+}
+
 // Validate rejects malformed specs before they consume a session slot.
 // maxVirtual caps Workload.Duration (0 = no cap).
 func (s Spec) Validate(maxVirtual time.Duration) error {
+	c := s.Config
+	for _, err := range []error{
+		checkRange("config.nodes", c.Nodes, MaxNodes),
+		checkRange("config.cores", c.Cores, MaxCores),
+		checkRange("config.checkpoint_lanes", c.CheckpointLanes, MaxLanes),
+		checkRange("config.restore_lanes", c.RestoreLanes, MaxLanes),
+		checkRange("config.workers", c.Workers, MaxWorkers),
+		checkRange("config.node_dram_bytes", c.NodeDRAMBytes, MaxNodeDRAMBytes),
+		checkRange("config.cxl_capacity_bytes", c.CXLCapacityBytes, MaxCXLCapacityBytes),
+		checkRange("config.replication.devices", c.Replication.Devices, MaxDevices),
+		checkRange("config.telemetry.series_cap", c.Telemetry.SeriesCap, MaxSeriesCap),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	if s.Workload.Design != "" {
 		ok := false
 		for _, d := range cxlfork.WorkloadDesigns {
