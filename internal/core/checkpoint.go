@@ -227,7 +227,7 @@ func (m *Mechanism) Name() string { return "CXLfork" }
 // serialized. A and D bits of the parent's page tables are preserved.
 func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
 	o := parent.OS
-	p := o.P
+	p := &o.P
 	node := o.Index
 	t0 := o.Eng.Now()
 	arena, err := m.Dev.NewArena(id)

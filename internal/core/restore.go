@@ -26,7 +26,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 		return fmt.Errorf("core: image %s is %T, not a CXLfork checkpoint", img.ID(), img)
 	}
 	o := child.OS
-	p := o.P
+	p := &o.P
 	t0 := o.Eng.Now()
 	if err := m.Faults.At(faultinject.StepRestoreAttach, o.Index); err != nil {
 		o.TraceOpError("restore", t0, "attach")
@@ -198,7 +198,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, opts rfork.Opti
 // are re-written by clones, §4.2.1) or read-only.
 func (m *Mechanism) prefetch(child *kernel.Task, ck *Checkpoint, keep func(pt.PTE) bool, writable bool) {
 	o := child.OS
-	p := o.P
+	p := &o.P
 	pool := m.Dev.Pool()
 	for _, ref := range ck.ptLeaves {
 		leaf := cxl.Get[*pt.Leaf](ck.arena, ref.off)
@@ -258,7 +258,7 @@ func (ov *ckptOverlay) Fault(mm *kernel.MM, va pt.VirtAddr, write bool) (pt.PTE,
 		return pt.PTE{}, 0, 0, false
 	}
 	o := mm.OS
-	p := o.P
+	p := &o.P
 
 	hot := e.Flags.Has(pt.Accessed) || e.Flags.Has(pt.UserHot)
 	copyLocal := write || ov.policy == rfork.MigrateOnAccess || hot

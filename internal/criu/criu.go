@@ -92,7 +92,7 @@ const pageShard = 128
 // non-clean-file memory page — into an image file on cxlfs.
 func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
 	o := parent.OS
-	p := o.P
+	p := &o.P
 	t0 := o.Eng.Now()
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, o.Index); err != nil {
 		o.TraceOpError("checkpoint", t0, "vma")
@@ -178,7 +178,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 		return fmt.Errorf("criu: image %s is %T, not a CRIU image", img.ID(), img)
 	}
 	o := child.OS
-	p := o.P
+	p := &o.P
 	t0 := o.Eng.Now()
 	if err := m.Faults.At(faultinject.StepRestoreAttach, o.Index); err != nil {
 		o.TraceOpError("restore", t0, "attach")
@@ -279,7 +279,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 // decodeImage verifies the envelope and fully decodes a CRIU image into
 // its global state, VMA records, and page records, along with the
 // serial record-decode cost. Any damage surfaces as ErrImageCorrupt.
-func decodeImage(id string, envelope []byte, p params.Params) (rfork.GlobalState, []vma.VMA, []pageRecord, des.Time, error) {
+func decodeImage(id string, envelope []byte, p *params.Params) (rfork.GlobalState, []vma.VMA, []pageRecord, des.Time, error) {
 	var gs rfork.GlobalState
 	var cost des.Time
 	corrupt := func(err error) error {

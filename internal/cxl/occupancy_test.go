@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"cxlfork/internal/des"
 	"cxlfork/internal/memsim"
 	"cxlfork/internal/params"
+	"cxlfork/internal/telemetry"
 )
 
 // TestOccupancyExclusiveShared builds two arenas that dedup-share one
@@ -340,4 +342,50 @@ func BenchmarkDeviceOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		occSink = d.Occupancy()
 	}
+}
+
+// TestOccupancyGaugesFollowEveryTick samples the exclusive and shared
+// gauges, which share one Occupancy walk per tick, across changes to
+// the arena set and to a frame's live references: every tick must
+// report the device's occupancy at that tick.
+func TestOccupancyGaugesFollowEveryTick(t *testing.T) {
+	d := dev(t)
+	reg := telemetry.New(1, 0)
+	d.RegisterTelemetry(reg)
+	last := func(key string) int64 {
+		s := reg.Lookup(key).Samples()
+		return int64(s[len(s)-1].V)
+	}
+	check := func(tick des.Time) {
+		t.Helper()
+		reg.Sample(tick)
+		want := d.Occupancy()
+		if got := last("cxl_exclusive_bytes"); got != want.ExclusiveFrames {
+			t.Fatalf("tick %d: exclusive gauge %d, occupancy %+v", tick, got, want)
+		}
+		if got := last("cxl_shared_bytes"); got != want.SharedFrames {
+			t.Fatalf("tick %d: shared gauge %d, occupancy %+v", tick, got, want)
+		}
+	}
+
+	a, _ := d.NewArena("a")
+	f, _, err := d.AllocToken(0x1111)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.TrackFrame(f)
+	check(1) // exclusive to a
+	f.Get()
+	check(2) // a clone maps it: no arena change, now shared
+	f.Pool().Put(f)
+	check(3)
+	b, _ := d.NewArena("b")
+	g, _, err := d.AllocToken(0x1111)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.TrackFrame(g)
+	check(4) // dedup-shared by two arenas
+	b.Release()
+	check(5)
 }

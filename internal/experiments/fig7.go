@@ -14,11 +14,16 @@ import (
 // in specs. Each function's protocol builds its own environment, so the
 // legs are independent and fan out to params.SimWorkers goroutines;
 // results land in spec order either way (DESIGN.md §13).
+//
+// Calibration is a pure function of (p, spec, scenario set), so each
+// function's result is memoized process-wide (DESIGN.md §17): a repeat
+// call returns an equal result without re-measuring. Every call gets
+// its own copy; MeasureFunction stays the uncached primitive.
 func MeasureAll(p params.Params, specs []faas.Spec, scens []Scenario) ([]*FnMeasurement, error) {
 	out := make([]*FnMeasurement, len(specs))
 	errs := make([]error, len(specs))
 	des.NewPool(p.SimWorkers).Each(len(specs), func(i int) {
-		out[i], errs[i] = MeasureFunction(p, specs[i], scens)
+		out[i], errs[i] = measureMemo(p, specs[i], scens)
 	})
 	for i, err := range errs {
 		if err != nil {

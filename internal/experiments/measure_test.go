@@ -61,3 +61,22 @@ func TestMeasureShapes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMeasureFunction times the uncached calibration primitive on
+// a small and a large function. MeasureAll memoizes, so the figure
+// benchmarks that call it stop measuring calibration after their first
+// iteration; this one keeps its cost visible.
+func BenchmarkMeasureFunction(b *testing.B) {
+	p := ExpParams()
+	for _, name := range []string{"Float", "Bert"} {
+		spec, _ := faas.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MeasureFunction(p, spec, AllScenarios); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

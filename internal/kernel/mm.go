@@ -224,7 +224,7 @@ func (mm *MM) frameOf(pte pt.PTE) *memsim.Frame {
 // only entry point the execution engine uses.
 func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	vpn := va.PageNumber()
 	key := cachesim.Key(mm.ASID, vpn)
 
@@ -236,14 +236,8 @@ func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 		mm.Stats.AccessTime += walk
 	}
 
-	pte, _ := mm.PT.Lookup(va)
-	if pte.Present() {
-		if write && !pte.Flags.Has(pt.Writable) {
-			if pte.Flags.Has(pt.CoW) {
-				return mm.cowFault(va, pte)
-			}
-			return fmt.Errorf("%w: store to read-only page %#x", ErrProtection, uint64(va))
-		}
+	pte, ok := mm.PT.Hit(va, write)
+	if ok {
 		frame := mm.frameOf(pte)
 		var lat des.Time
 		if o.LLC.Access(frame.CacheKey()) {
@@ -260,12 +254,17 @@ func (mm *MM) Access(va pt.VirtAddr, write bool) error {
 		}
 		o.Eng.Advance(lat)
 		mm.Stats.AccessTime += lat
-		mm.PT.MarkAccessed(va)
 		if write {
-			mm.PT.MarkDirty(va)
 			frame.Data = memsim.NewToken()
 		}
 		return nil
+	}
+	if pte.Present() {
+		// A store through a read-only mapping.
+		if pte.Flags.Has(pt.CoW) {
+			return mm.cowFault(va, pte)
+		}
+		return fmt.Errorf("%w: store to read-only page %#x", ErrProtection, uint64(va))
 	}
 	return mm.fault(va, write)
 }
@@ -285,7 +284,7 @@ func (mm *MM) AccessRepeat(n int) {
 // fault handles a missing translation at va.
 func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	v := mm.VMAs.Find(va)
 	if v == nil {
 		return fmt.Errorf("%w: no mapping at %#x", ErrSegfault, uint64(va))
@@ -386,7 +385,7 @@ func (mm *MM) fault(va pt.VirtAddr, write bool) error {
 // (migrate-on-write when the source is CXL, paper §4.2).
 func (mm *MM) cowFault(va pt.VirtAddr, pte pt.PTE) error {
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	onCXL := pte.Flags.Has(pt.OnCXL)
 
 	var src *memsim.Frame

@@ -100,7 +100,7 @@ const shadowShard = 128
 // serializes the OS state.
 func (m *Mechanism) Checkpoint(parent *kernel.Task, id string) (rfork.Image, error) {
 	o := parent.OS
-	p := o.P
+	p := &o.P
 	t0 := o.Eng.Now()
 	if err := m.Faults.At(faultinject.StepCheckpointVMA, o.Index); err != nil {
 		o.TraceOpError("checkpoint", t0, "vma")
@@ -189,7 +189,7 @@ func (m *Mechanism) Restore(child *kernel.Task, img rfork.Image, _ rfork.Options
 		return fmt.Errorf("mitosis: image %s is %T, not a Mitosis image", img.ID(), img)
 	}
 	o := child.OS
-	p := o.P
+	p := &o.P
 	t0 := o.Eng.Now()
 	fail := func(step string, err error) error {
 		o.TraceOpError("restore", t0, step)
@@ -320,7 +320,7 @@ func (ov *overlay) Fault(mm *kernel.MM, va pt.VirtAddr, write bool) (pt.PTE, des
 		return pt.PTE{}, 0, 0, false
 	}
 	o := mm.OS
-	p := o.P
+	p := &o.P
 	local, err := o.Mem.Alloc()
 	if err != nil {
 		return pt.PTE{}, 0, 0, false // OOM surfaces as a segfault upstream

@@ -251,6 +251,30 @@ func (t *Tree) AttachLeaf(vaBase VirtAddr, leaf *Leaf) error {
 	return nil
 }
 
+// Hit is the hardware walker's translation of one load (write=false)
+// or store through va. When the PTE is present and permits the access
+// it sets Accessed, and Dirty for a store, in place (allowed even on
+// protected CXL leaves, as for MarkAccessed) and returns the updated
+// entry with ok true. Otherwise nothing changes: it returns the entry,
+// zero when no leaf covers va, with ok false, and the caller takes the
+// fault.
+func (t *Tree) Hit(va VirtAddr, write bool) (pte PTE, ok bool) {
+	l := t.leaf(va)
+	if l == nil {
+		return PTE{}, false
+	}
+	e := &l.PTEs[index(va, 1)]
+	if !e.Present() || write && !e.Flags.Has(Writable) {
+		return *e, false
+	}
+	if write {
+		e.Flags |= Accessed | Dirty
+	} else {
+		e.Flags |= Accessed
+	}
+	return *e, true
+}
+
 // MarkAccessed sets the Accessed bit in place — allowed even on
 // protected CXL leaves, modelling the hardware walker updating A bits on
 // checkpointed PTEs (§4.3). It reports whether the bit was newly set.
@@ -265,21 +289,6 @@ func (t *Tree) MarkAccessed(va VirtAddr) bool {
 	}
 	e.Flags |= Accessed
 	return true
-}
-
-// MarkDirty sets Accessed|Dirty in place. Callers must only invoke it
-// for genuinely writable mappings; stores through read-only mappings go
-// through the fault path instead.
-func (t *Tree) MarkDirty(va VirtAddr) {
-	l := t.leaf(va)
-	if l == nil {
-		panic(fmt.Sprintf("pt: MarkDirty on unmapped address %#x", uint64(va)))
-	}
-	e := &l.PTEs[index(va, 1)]
-	if !e.Present() || !e.Flags.Has(Writable) {
-		panic(fmt.Sprintf("pt: MarkDirty through non-writable PTE at %#x", uint64(va)))
-	}
-	e.Flags |= Accessed | Dirty
 }
 
 // ClearABits clears the Accessed bit on every present entry, in place,

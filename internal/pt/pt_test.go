@@ -161,15 +161,43 @@ func TestClearABits(t *testing.T) {
 	}
 }
 
-func TestMarkDirtyPanicsOnReadOnly(t *testing.T) {
+// TestHitRefusesStoreThroughReadOnly checks a store through a CoW
+// PTE is left to the fault path: no A/D bits change.
+func TestHitRefusesStoreThroughReadOnly(t *testing.T) {
 	tr := NewTree()
 	tr.Set(0, PTE{Flags: Present | CoW, PFN: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on MarkDirty through read-only PTE")
-		}
-	}()
-	tr.MarkDirty(0)
+	pte, ok := tr.Hit(0, true)
+	if ok || pte != (PTE{Flags: Present | CoW, PFN: 1}) {
+		t.Fatalf("Hit(store) = %+v, %v; want the unchanged CoW entry, false", pte, ok)
+	}
+	if e, _ := tr.Lookup(0); e.Flags.Has(Accessed) || e.Flags.Has(Dirty) {
+		t.Fatalf("refused store changed the entry: %+v", e)
+	}
+	if _, ok := tr.Hit(0x1000, false); ok {
+		t.Fatal("Hit on an unmapped address succeeded")
+	}
+}
+
+// TestHitSetsAccessAndDirtyInPlace checks loads set A and stores set
+// A|D, in place even on a protected checkpoint leaf.
+func TestHitSetsAccessAndDirtyInPlace(t *testing.T) {
+	tr := NewTree()
+	shared := &Leaf{InCXL: true, Protected: true}
+	shared.PTEs[0] = PTE{Flags: Present | OnCXL | Writable, PFN: 1}
+	tr.AttachLeaf(0, shared)
+
+	if pte, ok := tr.Hit(0, false); !ok || pte.Flags != Present|OnCXL|Writable|Accessed {
+		t.Fatalf("load Hit = %+v, %v", pte, ok)
+	}
+	if pte, ok := tr.Hit(0, true); !ok || !pte.Flags.Has(Accessed|Dirty) {
+		t.Fatalf("store Hit = %+v, %v", pte, ok)
+	}
+	if !shared.PTEs[0].Flags.Has(Accessed | Dirty) {
+		t.Fatal("A/D bits not set in place on the protected leaf")
+	}
+	if tr.Stats().LeafBreaks != 0 {
+		t.Fatal("an A/D update broke the leaf")
+	}
 }
 
 func TestSetUserHot(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"cxlfork"
 )
 
 // Admission errors. The HTTP layer maps ErrSaturated to 429 +
@@ -86,6 +88,9 @@ type Manager struct {
 	rejected  int64
 	wallNS    int64
 	virtNS    int64
+	// phases sums the wall-clock phases of every finished session's
+	// report.
+	phases cxlfork.Phases
 }
 
 // NewManager returns a manager with cfg's bounds (defaults applied).
@@ -203,6 +208,10 @@ func (m *Manager) runSession(s *Session, timeout time.Duration) {
 	if rep := s.Report(); rep != nil {
 		m.wallNS += int64(s.wallDur)
 		m.virtNS += int64(rep.VirtualDuration)
+		m.phases.Calibrate += rep.Phases.Calibrate
+		m.phases.Build += rep.Phases.Build
+		m.phases.Provision += rep.Phases.Provision
+		m.phases.Replay += rep.Phases.Replay
 	}
 	if !m.draining && len(m.queue) > 0 && m.running < m.cfg.MaxSessions {
 		next := m.queue[0]

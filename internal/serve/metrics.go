@@ -34,6 +34,10 @@ func (m *Manager) WriteMetricz(w io.Writer) error {
 		{"cxlserved_sessions_failed_total", "Sessions whose run errored.", "counter", float64(m.failed)},
 		{"cxlserved_sessions_rejected_total", "Submissions rejected with 429 (saturated).", "counter", float64(m.rejected)},
 		{"cxlserved_wall_seconds_per_virtual_second", "Wall-clock cost of one virtual second, over completed sessions.", "gauge", ratio(m.wallNS, m.virtNS)},
+		{"cxlserved_calibrate_seconds_total", "Wall-clock time finished sessions spent calibrating cold starts.", "counter", m.phases.Calibrate.Seconds()},
+		{"cxlserved_build_seconds_total", "Wall-clock time finished sessions spent building clusters.", "counter", m.phases.Build.Seconds()},
+		{"cxlserved_provision_seconds_total", "Wall-clock time finished sessions spent provisioning parents and checkpoints.", "counter", m.phases.Provision.Seconds()},
+		{"cxlserved_replay_seconds_total", "Wall-clock time finished sessions spent generating and replaying traces.", "counter", m.phases.Replay.Seconds()},
 		{"cxlserved_max_sessions", "Configured running-slot bound.", "gauge", float64(m.cfg.MaxSessions)},
 		{"cxlserved_max_queue", "Configured admission-queue bound.", "gauge", float64(m.cfg.MaxQueue)},
 	}

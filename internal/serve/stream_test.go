@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cxlfork"
 )
 
 func postSpec(t *testing.T, client *http.Client, url string, spec Spec) *http.Response {
@@ -206,6 +208,56 @@ func TestHTTPAdmissionAndMetricz(t *testing.T) {
 	}
 	for _, s := range m.Sessions() {
 		waitTerminal(t, s, 30*time.Second)
+	}
+}
+
+// TestMetriczPhaseTotals runs two sessions of one spec to completion:
+// /metricz's phase counters are exactly the sums of the two reports'
+// wall-clock phases.
+func TestMetriczPhaseTotals(t *testing.T) {
+	m := NewManager(Config{MaxSessions: 1, MaxQueue: 1})
+	var sessions []*Session
+	for i := 0; i < 2; i++ {
+		s, err := m.Submit(fastSpec())
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		sessions = append(sessions, s)
+	}
+	for _, s := range sessions {
+		waitTerminal(t, s, 30*time.Second)
+	}
+	drainNow(t, m)
+
+	var sum cxlfork.Phases
+	for _, s := range sessions {
+		rep := s.Report()
+		if s.State() != StateDone || rep == nil {
+			t.Fatalf("session %s ended %s", s.ID, s.State())
+		}
+		sum.Calibrate += rep.Phases.Calibrate
+		sum.Build += rep.Phases.Build
+		sum.Provision += rep.Phases.Provision
+		sum.Replay += rep.Phases.Replay
+	}
+	if sum.Replay <= 0 {
+		t.Fatalf("sessions reported no replay time: %+v", sum)
+	}
+	var body strings.Builder
+	if err := m.WriteMetricz(&body); err != nil {
+		t.Fatal(err)
+	}
+	checkExposition(t, body.String())
+	for name, d := range map[string]time.Duration{
+		"cxlserved_calibrate_seconds_total": sum.Calibrate,
+		"cxlserved_build_seconds_total":     sum.Build,
+		"cxlserved_provision_seconds_total": sum.Provision,
+		"cxlserved_replay_seconds_total":    sum.Replay,
+	} {
+		want := "\n" + name + " " + formatValue(d.Seconds()) + " "
+		if !strings.Contains(body.String(), want) {
+			t.Fatalf("/metricz missing %q:\n%s", strings.TrimSpace(want), body.String())
+		}
 	}
 }
 

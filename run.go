@@ -158,6 +158,24 @@ type RunReport struct {
 	// XRay carry equal fingerprints (the report has its own
 	// byte-deterministic Fingerprint method).
 	XRay *xray.Report `json:"xray,omitempty"`
+	// Phases is the wall-clock time the call spent in each stage of
+	// the session. It measures the host, not the simulation: it differs
+	// from run to run, and Fingerprint leaves it out.
+	Phases Phases `json:"phases"`
+}
+
+// Phases splits one RunWorkload call's wall-clock time into its four
+// stages. A repeat session on the same platform shows Calibrate near
+// zero, because calibration is memoized per process (DESIGN.md §17).
+type Phases struct {
+	// Calibrate is the cold-start calibration that sizes the profiles.
+	Calibrate time.Duration `json:"calibrate_ns"`
+	// Build is the cluster construction.
+	Build time.Duration `json:"build_ns"`
+	// Provision is the porter's setup: parents and checkpoints.
+	Provision time.Duration `json:"provision_ns"`
+	// Replay is trace generation plus the porter replay.
+	Replay time.Duration `json:"replay_ns"`
 }
 
 // scenariosFor returns the calibration scenarios a design's profiles
@@ -237,6 +255,15 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		p.KeepAlive = des.Time(wl.KeepAlive)
 	}
 
+	// lap closes one wall-clock phase of the session.
+	var phases Phases
+	mark := time.Now()
+	lap := func(d *time.Duration) {
+		now := time.Now()
+		*d = now.Sub(mark)
+		mark = now
+	}
+
 	// Calibrate with telemetry off: the mechanistic single-instance
 	// measurements are a sizing probe, not part of the observed replay
 	// (the same split TelemetryTrace makes).
@@ -247,11 +274,13 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		return nil, err
 	}
 	profiles := experiments.BuildProfiles(ms)
+	lap(&phases.Calibrate)
 
 	c, err := cluster.New(p, nodes)
 	if err != nil {
 		return nil, err
 	}
+	lap(&phases.Build)
 	pcfg := porter.Config{
 		Profiles:        profiles,
 		Seed:            wl.Seed,
@@ -274,6 +303,7 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	if err := po.Setup(specs); err != nil {
 		return nil, err
 	}
+	lap(&phases.Provision)
 
 	var names []string
 	for _, s := range specs {
@@ -319,7 +349,9 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	}
 
 	results := po.Run(trace)
+	lap(&phases.Replay)
 	report := buildReport(wl.Design, results, po.SLOAlerts(), interrupted)
+	report.Phases = phases
 	if c.XRay.Enabled() {
 		report.XRay = c.XRay.Report()
 	}
