@@ -60,6 +60,15 @@ func TestCapacitySweepEvictsAndRenders(t *testing.T) {
 	}
 }
 
+// goldenCapacity pins each run's replay fingerprint of the small
+// sweep, in sweep order (lru, largest, costbenefit at 50%). With only
+// two functions the three policies' replays coincide at this size.
+var goldenCapacity = []uint64{0x3ea2289029a68a37, 0x3ea2289029a68a37, 0x3ea2289029a68a37}
+
+// goldenCapacityFootprint pins the small sweep's measured suite
+// footprint, the size every device fraction scales.
+const goldenCapacityFootprint = 53995364
+
 func TestCapacitySweepDeterministic(t *testing.T) {
 	p := ExpParams()
 	cfg := smallCapacityConfig()
@@ -71,10 +80,20 @@ func TestCapacitySweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a.FootprintBytes != goldenCapacityFootprint {
+		t.Errorf("footprint %d, golden %d", a.FootprintBytes, goldenCapacityFootprint)
+	}
 	if a.FootprintBytes != b.FootprintBytes {
 		t.Fatalf("footprint differs: %d vs %d", a.FootprintBytes, b.FootprintBytes)
 	}
+	if len(a.Runs) != len(goldenCapacity) {
+		t.Fatalf("runs = %d, want %d", len(a.Runs), len(goldenCapacity))
+	}
 	for i := range a.Runs {
+		if a.Runs[i].Fingerprint != goldenCapacity[i] {
+			t.Errorf("%s@%.0f%%: fingerprint %#x, golden %#x",
+				a.Runs[i].Policy, 100*a.Runs[i].DevFrac, a.Runs[i].Fingerprint, goldenCapacity[i])
+		}
 		if a.Runs[i].Fingerprint != b.Runs[i].Fingerprint {
 			t.Fatalf("%s@%.0f%%: fingerprints differ: %#x vs %#x",
 				a.Runs[i].Policy, 100*a.Runs[i].DevFrac,

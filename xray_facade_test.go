@@ -28,6 +28,16 @@ var xrayDesignGoldens = map[string]uint64{
 	"Mitosis-CXL": 0xf45d192524d35f47,
 }
 
+// runDesignGoldens pins each design's RunReport.Fingerprint at
+// xrayWorkload: the replay's own results, independent of attribution,
+// so a refactor of the shared run path cannot move every side at once.
+var runDesignGoldens = map[string]string{
+	"CXLfork":     "b9bd063c3428de0f",
+	"CXLfork-MoW": "e6bc0eff6644444c",
+	"CRIU-CXL":    "f1bc32e3f351c293",
+	"Mitosis-CXL": "a081f997cdbcb4c6",
+}
+
 // TestRunWorkloadXRayObservational pins the facade-level neutrality
 // contract for every design: Config.XRay attaches a blame report to
 // the run without changing the simulated results, so the report
@@ -44,6 +54,9 @@ func TestRunWorkloadXRayObservational(t *testing.T) {
 			}
 			if plain.XRay != nil {
 				t.Fatal("XRay report present without Config.XRay")
+			}
+			if want := runDesignGoldens[design]; plain.Fingerprint != want {
+				t.Fatalf("run fingerprint %s, golden %s", plain.Fingerprint, want)
 			}
 
 			cfg := smallConfig()
