@@ -1,7 +1,8 @@
 // Command cxlporter runs one CXLporter scaling scenario: it deploys the
 // autoscaler with a chosen remote-fork design over a two-node simulated
 // cluster, replays a bursty Azure-like trace, and prints latency
-// percentiles and scheduler statistics.
+// percentiles and scheduler statistics. It is a thin caller of
+// cxlfork.RunWorkload.
 //
 // Usage:
 //
@@ -13,11 +14,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"cxlfork"
 )
+
+// designs maps -mech values to Workload.Design.
+var designs = map[string]string{
+	"cxlfork":     "CXLfork",
+	"cxlfork-mow": "CXLfork-MoW",
+	"criu":        "CRIU-CXL",
+	"mitosis":     "Mitosis-CXL",
+}
 
 func main() {
 	mech := flag.String("mech", "cxlfork", "rfork design: cxlfork, cxlfork-mow, criu, mitosis")
@@ -30,46 +40,30 @@ func main() {
 	traceOut := flag.String("save-trace", "", "write the generated trace to a CSV file and exit")
 	flag.Parse()
 
-	cfg := cxlfork.AutoscalerConfig{
-		RPS:        *rps,
-		Duration:   time.Duration(*duration * float64(time.Second)),
-		NodeBudget: int64(*memFrac * float64(12<<30)),
-		Seed:       *seed,
-	}
-	if *functions != "" {
-		cfg.Functions = strings.Split(*functions, ",")
-	}
-	switch *mech {
-	case "cxlfork":
-		cfg.Mechanism = cxlfork.CXLfork
-		cfg.DynamicTiering = true
-	case "cxlfork-mow":
-		cfg.Mechanism = cxlfork.CXLfork
-		pol := cxlfork.MigrateOnWrite
-		cfg.StaticPolicy = &pol
-	case "criu":
-		cfg.Mechanism = cxlfork.CRIUCXL
-	case "mitosis":
-		cfg.Mechanism = cxlfork.MitosisCXL
-	default:
+	design, ok := designs[*mech]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "cxlporter: unknown mechanism %q\n", *mech)
 		os.Exit(2)
 	}
+	wl := cxlfork.Workload{
+		Design:          design,
+		RPS:             *rps,
+		Duration:        time.Duration(*duration * float64(time.Second)),
+		NodeBudgetBytes: int64(*memFrac * float64(12<<30)),
+		Seed:            *seed,
+	}
+	if *functions != "" {
+		wl.Functions = strings.Split(*functions, ",")
+	}
 
 	if *traceOut != "" {
-		fns := cxlfork.FunctionNames()
-		if *functions != "" {
-			fns = strings.Split(*functions, ",")
-		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer f.Close()
-		if err := cxlfork.SaveTraceCSV(f, fns, *rps, cfg.Duration, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
-			os.Exit(1)
+		if err := cxlfork.SaveTraceCSV(f, wl.Functions, wl.RPS, wl.Duration, wl.Seed); err != nil {
+			fail(err)
 		}
 		fmt.Printf("wrote trace to %s\n", *traceOut)
 		return
@@ -77,25 +71,24 @@ func main() {
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
-		trace, err := cxlfork.LoadTraceCSV(f)
+		wl.Trace, err = cxlfork.LoadTraceCSV(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
-		cfg.Trace = trace
 	}
 
-	sys := cxlfork.NewSystem(cxlfork.DefaultConfig())
-	fmt.Printf("calibrating profiles and replaying %.0f RPS for %.0fs with %s (mem budget %.0f%%)...\n",
-		*rps, *duration, cfg.Mechanism, 100**memFrac)
-	res, err := sys.RunAutoscaler(cfg)
+	load := fmt.Sprintf("%.0f RPS for %.0fs", *rps, *duration)
+	if wl.Trace != nil {
+		load = fmt.Sprintf("%d arrivals from %s", len(wl.Trace), *traceIn)
+	}
+	fmt.Printf("calibrating profiles and replaying %s with %s (mem budget %.0f%%)...\n",
+		load, design, 100**memFrac)
+	res, err := cxlfork.RunWorkload(cxlfork.DefaultConfig(), wl, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	fmt.Printf("\ncompleted %d requests  P50 %v  P99 %v  mean %v\n",
@@ -103,10 +96,19 @@ func main() {
 		res.Mean.Round(time.Millisecond))
 	fmt.Printf("warm starts %d, checkpoint restores %d, scratch cold starts %d\n",
 		res.WarmStarts, res.ColdForks, res.ScratchCold)
-	fmt.Printf("evictions %d, tiering promotions %d, throughput %.1f req/s\n",
-		res.Evictions, res.Promotions, res.Throughput)
+	fmt.Printf("checkpoint evictions %d\n", res.Evictions)
 	fmt.Println("\nper-function P99:")
-	for fn, p99 := range res.PerFunctionP99 {
-		fmt.Printf("  %-10s %v\n", fn, p99.Round(time.Millisecond))
+	fns := make([]string, 0, len(res.PerFunction))
+	for fn := range res.PerFunction {
+		fns = append(fns, fn)
 	}
+	sort.Strings(fns)
+	for _, fn := range fns {
+		fmt.Printf("  %-10s %v\n", fn, res.PerFunction[fn].P99.Round(time.Millisecond))
+	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "cxlporter: %v\n", err)
+	os.Exit(1)
 }

@@ -1,8 +1,14 @@
 package cxlfork
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
+
+	"cxlfork/internal/azure"
+	"cxlfork/internal/des"
+	"cxlfork/internal/experiments"
 )
 
 // smallConfig keeps facade tests fast.
@@ -239,15 +245,13 @@ func TestAutoscalerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("autoscaler calibration is slow")
 	}
-	sys := NewSystem(smallConfig())
-	res, err := sys.RunAutoscaler(AutoscalerConfig{
-		Mechanism:      CXLfork,
-		DynamicTiering: true,
-		Functions:      []string{"Float", "Json"},
-		RPS:            40,
-		Duration:       5 * time.Second,
-		Seed:           3,
-	})
+	res, err := RunWorkload(smallConfig(), Workload{
+		Design:    "CXLfork",
+		Functions: []string{"Float", "Json"},
+		RPS:       40,
+		Duration:  5 * time.Second,
+		Seed:      3,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +261,97 @@ func TestAutoscalerSmoke(t *testing.T) {
 	if res.P50 > res.P99 {
 		t.Fatal("P50 > P99")
 	}
-	if len(res.PerFunctionP99) == 0 {
+	if len(res.PerFunction) == 0 {
 		t.Fatal("no per-function percentiles")
+	}
+}
+
+// TestRunWorkloadRejectsBadTrace pins explicit-trace validation: an
+// arrival the porter cannot replay is an error naming the arrival, not
+// a crash mid-replay.
+func TestRunWorkloadRejectsBadTrace(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		trace []Arrival
+		want  []string
+	}{
+		{"unknown function", []Arrival{{ms, "Float"}, {2 * ms, "Nope"}}, []string{"arrival 1", `"Nope"`}},
+		{"suite function outside the mix", []Arrival{{ms, "Float"}, {ms, "Float"}, {3 * ms, "Json"}}, []string{"arrival 2", `"Json"`}},
+		{"before time zero", []Arrival{{-ms, "Float"}}, []string{"arrival 0", "before time zero"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunWorkload(smallConfig(), Workload{Functions: []string{"Float"}, Trace: tc.trace}, nil)
+			if err == nil {
+				t.Fatalf("bad trace accepted: %+v", rep)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not mention %q", err, w)
+				}
+			}
+		})
+	}
+}
+
+// TestRunWorkloadExplicitTraceMatchesGenerated replays the generator's
+// own arrivals as Workload.Trace: the run must be the generated run,
+// fingerprint for fingerprint. The trace is built in memory because the
+// CSV form stores microseconds, so a file round trip is not bit-exact;
+// the round trip is checked to that resolution instead.
+func TestRunWorkloadExplicitTraceMatchesGenerated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("porter replays are slow")
+	}
+	wl := Workload{Functions: []string{"Float", "Json"}, RPS: 40, Duration: 3 * time.Second, Seed: 3}
+	generated, err := RunWorkload(smallConfig(), wl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	specs, err := experiments.Specs(wl.Functions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := azure.Generate(azure.TraceConfig{
+		TotalRPS: wl.RPS,
+		Duration: des.Time(wl.Duration),
+		Loads:    experiments.Loads(specs, nil),
+		Seed:     wl.Seed,
+	})
+	if len(reqs) == 0 {
+		t.Fatal("empty generated trace")
+	}
+	trace := make([]Arrival, len(reqs))
+	for i, r := range reqs {
+		trace[i] = Arrival{At: time.Duration(r.At), Function: r.Function}
+	}
+
+	var csv bytes.Buffer
+	if err := SaveTraceCSV(&csv, wl.Functions, wl.RPS, wl.Duration, wl.Seed); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTraceCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != len(trace) {
+		t.Fatalf("CSV round trip: %d arrivals, want %d", len(loaded), len(trace))
+	}
+	for i := range loaded {
+		if d := loaded[i].At - trace[i].At; loaded[i].Function != trace[i].Function || d < -time.Microsecond || d > time.Microsecond {
+			t.Fatalf("CSV arrival %d = %+v, want %+v", i, loaded[i], trace[i])
+		}
+	}
+
+	wl.Trace = trace
+	replayed, err := RunWorkload(smallConfig(), wl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Fingerprint != generated.Fingerprint || replayed.Completed != len(trace) {
+		t.Fatalf("explicit trace: fingerprint %s, %d completed; generated: %s, %d completed of %d arrivals",
+			replayed.Fingerprint, replayed.Completed, generated.Fingerprint, generated.Completed, len(trace))
 	}
 }
 

@@ -1,32 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
-	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 )
-
-// suiteSubset resolves function names to their workload specs.
-func suiteSubset(names []string) ([]faas.Spec, error) {
-	specs := make([]faas.Spec, 0, len(names))
-	for _, name := range names {
-		s, ok := faas.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown function %q", name)
-		}
-		specs = append(specs, s)
-	}
-	return specs, nil
-}
 
 // AzureBench replays a large seeded Azure trace through a full porter
 // cluster and measures engine throughput — the cluster-replay leg of
@@ -104,36 +86,23 @@ func AzureBench(p params.Params, cfg AzureBenchConfig) (*AzureBenchResult, error
 	if cfg.Duration <= 0 {
 		cfg.Duration = des.Second
 	}
-	specs, err := suiteSubset([]string{"Float", "Json"})
+	specs, err := Specs([]string{"Float", "Json"})
 	if err != nil {
 		return nil, err
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
-
 	c := cluster.MustNew(p, cfg.Nodes)
-	pol := rfork.MigrateOnWrite
-	po := porter.New(c, porter.Config{
-		Mechanism:       core.New(c.Dev),
-		Profiles:        profiles,
-		Seed:            cfg.Seed,
-		NodeBudgetBytes: 12 << 30,
-		StaticPolicy:    &pol,
-	})
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, DesignCXLforkMoW, profiles, cfg.Seed, 12<<30, specs)
+	if err != nil {
 		return nil, err
-	}
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: float64(cfg.Requests) / cfg.Duration.Seconds(),
 		Duration: cfg.Duration,
-		Loads:    azure.DefaultLoads(names),
+		Loads:    Loads(specs, nil),
 		Seed:     cfg.Seed,
 	})
 

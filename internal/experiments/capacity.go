@@ -7,12 +7,10 @@ import (
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 )
 
 // The capacity experiment (DESIGN.md §10, EXPERIMENTS.md "-exp
@@ -116,24 +114,16 @@ type CapacityResult struct {
 // checkpoint footprint, then replay the trace at every (fraction,
 // policy) pair.
 func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("capacity: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("capacity: %w", err)
 	}
 
 	// Calibrate cold-start and restore profiles once.
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
@@ -158,8 +148,9 @@ func Capacity(p params.Params, cfg CapacityConfig) (*CapacityResult, error) {
 // frame, dedup-shared frames counted once.
 func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile, seed int64) (int64, error) {
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, seed))
-	if err := po.Setup(specs); err != nil {
+	// Static migrate-on-write keeps the device sweeps about capacity,
+	// not tiering adaptation.
+	if _, err := Provision(c, DesignCXLforkMoW, profiles, seed, 0, specs); err != nil {
 		return 0, err
 	}
 	fp := c.Dev.UsedBytes()
@@ -169,51 +160,25 @@ func capacityFootprint(p params.Params, specs []faas.Spec, profiles map[porter.P
 	return fp, nil
 }
 
-func capacityPorterConfig(c *cluster.Cluster, profiles map[porter.ProfileKey]porter.Profile, seed int64) porter.Config {
-	// Static migrate-on-write keeps the sweep about eviction policy, not
-	// tiering adaptation.
-	pol := rfork.MigrateOnWrite
-	return porter.Config{
-		Mechanism:    core.New(c.Dev),
-		Profiles:     profiles,
-		StaticPolicy: &pol,
-		Seed:         seed,
-	}
-}
-
 func capacityRun(p params.Params, cfg CapacityConfig, policy string, frac float64, footprint int64, specs []faas.Spec, profiles map[porter.ProfileKey]porter.Profile) (CapacityRun, error) {
 	if cfg.KeepAlive > 0 {
 		p.KeepAlive = cfg.KeepAlive
 	}
 	p.EvictPolicy = policy
-	// Round the shrunken device up to a whole page so frame-pool sizing
-	// stays exact.
-	ps := int64(p.PageSize)
-	p.CXLBytes = (int64(float64(footprint)*frac) + ps - 1) / ps * ps
+	p.CXLBytes = poolBytes(footprint, frac, p.PageSize)
 	if _, err := porter.ParseEvictPolicy(policy); err != nil {
 		return CapacityRun{}, err
 	}
 
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, DesignCXLforkMoW, profiles, cfg.Seed, 0, specs)
+	if err != nil {
 		return CapacityRun{}, err
-	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: cfg.RPS,
 		Duration: cfg.Duration,
-		Loads:    loads,
+		Loads:    Loads(specs, cfg.Weights),
 		Seed:     cfg.Seed,
 	})
 	results := po.Run(trace)

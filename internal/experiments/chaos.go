@@ -104,22 +104,14 @@ func Chaos(p params.Params, cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Devices < 2 {
 		return nil, fmt.Errorf("chaos: need at least 2 devices, got %d", cfg.Devices)
 	}
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("chaos: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
@@ -166,32 +158,20 @@ func chaosRun(p params.Params, cfg ChaosConfig, rf, kill int, footprint int64, s
 	if cfg.RepairBandwidthPages > 0 {
 		p.RepairBandwidthPages = cfg.RepairBandwidthPages
 	}
-	ps := int64(p.PageSize)
-	p.CXLBytes = (int64(float64(footprint)*cfg.PoolHeadroom) + ps - 1) / ps * ps
+	p.CXLBytes = poolBytes(footprint, cfg.PoolHeadroom, p.PageSize)
 
 	c := cluster.MustNew(p, 2)
 	if kill >= 0 {
 		c.Faults.Inject(faultinject.Rule{Kind: faultinject.DeviceLoss, Device: kill, At: cfg.KillAt})
 	}
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, DesignCXLforkMoW, profiles, cfg.Seed, 0, specs)
+	if err != nil {
 		return ChaosRun{}, 0, err
-	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: cfg.RPS,
 		Duration: cfg.Duration,
-		Loads:    loads,
+		Loads:    Loads(specs, cfg.Weights),
 		Seed:     cfg.Seed,
 	})
 	results := po.Run(trace)

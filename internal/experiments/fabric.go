@@ -126,22 +126,14 @@ func FabricSweep(p params.Params, cfg FabricExpConfig) (*FabricResult, error) {
 	if cfg.Nodes < 2 {
 		return nil, fmt.Errorf("fabric: need at least 2 nodes, got %d", cfg.Nodes)
 	}
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("fabric: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 	footprint, err := capacityFootprint(p, specs, profiles, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -192,32 +184,20 @@ func fabricRun(p params.Params, cfg FabricExpConfig, sw, dev int, pol string, fo
 	if p.ReplicationFactor > dev {
 		p.ReplicationFactor = dev
 	}
-	ps := int64(p.PageSize)
-	p.CXLBytes = (int64(float64(footprint)*cfg.PoolHeadroom) + ps - 1) / ps * ps
+	p.CXLBytes = poolBytes(footprint, cfg.PoolHeadroom, p.PageSize)
 
 	c, err := cluster.New(p, cfg.Nodes)
 	if err != nil {
 		return FabricRun{}, 0, nil, err
 	}
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, DesignCXLforkMoW, profiles, cfg.Seed, 0, specs)
+	if err != nil {
 		return FabricRun{}, 0, nil, err
-	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: cfg.RPS,
 		Duration: cfg.Duration,
-		Loads:    loads,
+		Loads:    Loads(specs, cfg.Weights),
 		Seed:     cfg.Seed,
 	})
 	results := po.Run(trace)

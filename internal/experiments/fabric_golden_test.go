@@ -8,7 +8,6 @@ import (
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
-	"cxlfork/internal/porter"
 )
 
 // goldenFabric pins the fabric sweep's fold at the config below. The
@@ -106,11 +105,10 @@ func TestDegenerateTopologyMatchesFlatModel(t *testing.T) {
 		p.Topology = topology
 		p.KeepAlive = 100 * des.Millisecond
 		specs := faas.Suite()[:4]
-		ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+		profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiles := BuildProfiles(ms)
 		c, err := cluster.New(p, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -123,18 +121,14 @@ func TestDegenerateTopologyMatchesFlatModel(t *testing.T) {
 				t.Fatal("Trivial topology must not carry a Net")
 			}
 		}
-		po := porter.New(c, capacityPorterConfig(c, profiles, 3))
-		if err := po.Setup(specs); err != nil {
+		po, err := Provision(c, DesignCXLforkMoW, profiles, 3, 0, specs)
+		if err != nil {
 			t.Fatal(err)
-		}
-		var names []string
-		for _, s := range specs {
-			names = append(names, s.Name)
 		}
 		trace := azure.Generate(azure.TraceConfig{
 			TotalRPS: 60,
 			Duration: 4 * des.Second,
-			Loads:    azure.DefaultLoads(names),
+			Loads:    Loads(specs, nil),
 			Seed:     3,
 		})
 		return po.Run(trace).Fingerprint()

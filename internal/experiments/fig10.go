@@ -8,25 +8,11 @@ import (
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
-	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/faas"
-	"cxlfork/internal/mitosis"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
 	"cxlfork/internal/rfork"
-)
-
-// Design names one rfork configuration of Fig. 10.
-type Design string
-
-// Fig. 10 designs.
-const (
-	DesignCRIU       Design = "CRIU-CXL"
-	DesignMitosis    Design = "Mitosis-CXL"
-	DesignCXLforkMoW Design = "CXLfork-MoW" // static migrate-on-write
-	DesignCXLfork    Design = "CXLfork"     // dynamic tiering (§5)
 )
 
 // Fig10Designs lists the compared designs in presentation order.
@@ -126,16 +112,9 @@ func BuildProfiles(ms []*FnMeasurement) map[porter.ProfileKey]porter.Profile {
 // Fig10 runs the CXLporter scaling comparison: every design at every
 // memory fraction, replaying the same bursty trace.
 func Fig10(p params.Params, cfg Fig10Config) (*Fig10Result, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("fig10: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("fig10: %w", err)
 	}
 	var names []string
 	for _, s := range specs {
@@ -182,40 +161,14 @@ func fig10Run(p params.Params, cfg Fig10Config, d Design, frac float64, specs []
 		p.KeepAlive = cfg.KeepAlive
 	}
 	c := cluster.MustNew(p, 2)
-	pcfg := porter.Config{
-		Profiles:        profiles,
-		Seed:            cfg.Seed,
-		NodeBudgetBytes: int64(float64(cfg.BaseBudgetBytes) * frac),
-	}
-	switch d {
-	case DesignCRIU:
-		pcfg.Mechanism = criu.New(c.CXLFS)
-	case DesignMitosis:
-		pcfg.Mechanism = mitosis.New()
-	case DesignCXLforkMoW:
-		pcfg.Mechanism = core.New(c.Dev)
-		pol := rfork.MigrateOnWrite
-		pcfg.StaticPolicy = &pol
-	case DesignCXLfork:
-		pcfg.Mechanism = core.New(c.Dev)
-		pcfg.DynamicTiering = true
-	default:
-		return Fig10Run{}, fmt.Errorf("unknown design %q", d)
-	}
-
-	po := porter.New(c, pcfg)
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, d, profiles, cfg.Seed, int64(float64(cfg.BaseBudgetBytes)*frac), specs)
+	if err != nil {
 		return Fig10Run{}, err
-	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: cfg.RPS,
 		Duration: cfg.Duration,
-		Loads:    azure.DefaultLoads(names),
+		Loads:    Loads(specs, nil),
 		Seed:     cfg.Seed,
 	})
 	results := po.Run(trace)

@@ -8,7 +8,6 @@ import (
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/fabric"
 	"cxlfork/internal/params"
 	"cxlfork/internal/porter"
@@ -95,22 +94,14 @@ type TelemetryTraceResult struct {
 // TelemetryTrace calibrates profiles, sizes the device, and replays
 // the trace with telemetry sampling on.
 func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceResult, error) {
-	specs := faas.Suite()
-	if len(cfg.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range cfg.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(cfg.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 
 	out := &TelemetryTraceResult{}
 	if cfg.DeviceFrac > 0 {
@@ -121,8 +112,7 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 			return nil, err
 		}
 		out.FootprintBytes = footprint
-		ps := int64(p.PageSize)
-		p.CXLBytes = (int64(float64(footprint)*cfg.DeviceFrac) + ps - 1) / ps * ps
+		p.CXLBytes = poolBytes(footprint, cfg.DeviceFrac, p.PageSize)
 	}
 
 	p.TelemetryEnabled = true
@@ -168,25 +158,14 @@ func TelemetryTrace(p params.Params, cfg TelemetryTraceConfig) (*TelemetryTraceR
 	out.DeviceBytes = p.CXLBytes
 
 	c := cluster.MustNew(p, 2)
-	po := porter.New(c, capacityPorterConfig(c, profiles, cfg.Seed))
-	if err := po.Setup(specs); err != nil {
+	po, err := Provision(c, DesignCXLforkMoW, profiles, cfg.Seed, 0, specs)
+	if err != nil {
 		return nil, err
-	}
-
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := cfg.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
 	}
 	trace := azure.Generate(azure.TraceConfig{
 		TotalRPS: cfg.RPS,
 		Duration: cfg.Duration,
-		Loads:    loads,
+		Loads:    Loads(specs, cfg.Weights),
 		Seed:     cfg.Seed,
 	})
 	out.Results = po.Run(trace)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cxlfork/internal/des"
-	"cxlfork/internal/faas"
 	"cxlfork/internal/params"
 	"cxlfork/internal/xray"
 )
@@ -69,22 +68,14 @@ func XRaySweep(p params.Params, cfg XRayExpConfig) (*XRayResult, error) {
 	if fc.Nodes < 2 {
 		return nil, fmt.Errorf("xray: need at least 2 nodes, got %d", fc.Nodes)
 	}
-	specs := faas.Suite()
-	if len(fc.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range fc.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("xray: unknown function %q", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := Specs(fc.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("xray: %w", err)
 	}
-	ms, err := MeasureAll(p, specs, []Scenario{ScenCold, ScenCXLfork})
+	profiles, err := Calibrate(p, DesignCXLforkMoW, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := BuildProfiles(ms)
 	footprint, err := capacityFootprint(p, specs, profiles, fc.Seed)
 	if err != nil {
 		return nil, err

@@ -3,18 +3,15 @@ package cxlfork
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"cxlfork/internal/azure"
 	"cxlfork/internal/cluster"
-	"cxlfork/internal/core"
-	"cxlfork/internal/criu"
 	"cxlfork/internal/des"
 	"cxlfork/internal/experiments"
 	"cxlfork/internal/faas"
-	"cxlfork/internal/mitosis"
 	"cxlfork/internal/porter"
-	"cxlfork/internal/rfork"
 	"cxlfork/internal/telemetry"
 	"cxlfork/internal/xray"
 )
@@ -54,6 +51,48 @@ type Workload struct {
 	// Seed drives trace generation and jitter (default Config.Seed,
 	// then 7 — the experiments' canonical seed).
 	Seed int64
+	// Trace, when non-empty, replays these arrivals instead of a
+	// generated trace (e.g. one read by LoadTraceCSV); RPS, Duration
+	// and Weights are then unused. Every arrival must name a function
+	// of the mix and lie at or after time zero.
+	Trace []Arrival
+}
+
+// Arrival is one request arrival of an explicit trace.
+type Arrival struct {
+	At       time.Duration
+	Function string
+}
+
+// LoadTraceCSV reads an explicit arrival trace ("seconds,function" CSV,
+// header optional) for Workload.Trace.
+func LoadTraceCSV(r io.Reader) ([]Arrival, error) {
+	reqs, err := azure.ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Arrival, len(reqs))
+	for i, rq := range reqs {
+		out[i] = Arrival{At: time.Duration(rq.At), Function: rq.Function}
+	}
+	return out, nil
+}
+
+// SaveTraceCSV writes the bursty trace RunWorkload generates for the
+// given functions, rate, duration and seed, so it can be inspected or
+// replayed elsewhere.
+func SaveTraceCSV(w io.Writer, functions []string, rps float64, duration time.Duration, seed int64) error {
+	specs, err := experiments.Specs(functions)
+	if err != nil {
+		return fmt.Errorf("cxlfork: %w (see FunctionNames)", err)
+	}
+	trace := azure.Generate(azure.TraceConfig{
+		TotalRPS: rps,
+		Duration: des.Time(duration),
+		Loads:    experiments.Loads(specs, nil),
+		Seed:     seed,
+	})
+	return azure.WriteCSV(w, trace)
 }
 
 // WorkloadDesigns lists the accepted Workload.Design values.
@@ -178,27 +217,6 @@ type Phases struct {
 	Replay time.Duration `json:"replay_ns"`
 }
 
-// scenariosFor returns the calibration scenarios a design's profiles
-// need: every design measures the scratch cold start plus its own
-// mechanism; dynamic tiering additionally needs the MoA and hybrid
-// policies it adapts across.
-func scenariosFor(design string) ([]experiments.Scenario, error) {
-	switch design {
-	case "CXLfork":
-		return []experiments.Scenario{
-			experiments.ScenCold, experiments.ScenCXLfork,
-			experiments.ScenCXLforkMoA, experiments.ScenCXLforkHT,
-		}, nil
-	case "CXLfork-MoW":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenCXLfork}, nil
-	case "CRIU-CXL":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenCRIU}, nil
-	case "Mitosis-CXL":
-		return []experiments.Scenario{experiments.ScenCold, experiments.ScenMitosis}, nil
-	}
-	return nil, fmt.Errorf("cxlfork: unknown design %q (want one of %v)", design, WorkloadDesigns)
-}
-
 // RunWorkload replays one seeded arrival trace against a freshly built
 // cluster and returns its results — the facade's synchronous
 // capacity-planning entry point, and the exact runner behind every
@@ -231,18 +249,15 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		nodes = 2
 	}
 
-	specs := faas.Suite()
-	if len(wl.Functions) > 0 {
-		specs = specs[:0]
-		for _, name := range wl.Functions {
-			s, ok := faas.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("cxlfork: unknown function %q (see FunctionNames)", name)
-			}
-			specs = append(specs, s)
-		}
+	specs, err := experiments.Specs(wl.Functions)
+	if err != nil {
+		return nil, fmt.Errorf("cxlfork: %w (see FunctionNames)", err)
 	}
-	scens, err := scenariosFor(wl.Design)
+	design := experiments.Design(wl.Design)
+	if _, err := design.Scenarios(); err != nil {
+		return nil, fmt.Errorf("cxlfork: %w (want one of %v)", err, WorkloadDesigns)
+	}
+	trace, err := explicitTrace(wl.Trace, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +284,10 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 	// (the same split TelemetryTrace makes).
 	pm := p
 	pm.TelemetryEnabled = false
-	ms, err := experiments.MeasureAll(pm, specs, scens)
+	profiles, err := experiments.Calibrate(pm, design, specs)
 	if err != nil {
 		return nil, err
 	}
-	profiles := experiments.BuildProfiles(ms)
 	lap(&phases.Calibrate)
 
 	c, err := cluster.New(p, nodes)
@@ -281,46 +295,20 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		return nil, err
 	}
 	lap(&phases.Build)
-	pcfg := porter.Config{
-		Profiles:        profiles,
-		Seed:            wl.Seed,
-		NodeBudgetBytes: wl.NodeBudgetBytes,
-	}
-	switch wl.Design {
-	case "CRIU-CXL":
-		pcfg.Mechanism = criu.New(c.CXLFS)
-	case "Mitosis-CXL":
-		pcfg.Mechanism = mitosis.New()
-	case "CXLfork-MoW":
-		pcfg.Mechanism = core.New(c.Dev)
-		pol := rfork.MigrateOnWrite
-		pcfg.StaticPolicy = &pol
-	default: // "CXLfork"
-		pcfg.Mechanism = core.New(c.Dev)
-		pcfg.DynamicTiering = true
-	}
-	po := porter.New(c, pcfg)
-	if err := po.Setup(specs); err != nil {
+	po, err := experiments.Provision(c, design, profiles, wl.Seed, wl.NodeBudgetBytes, specs)
+	if err != nil {
 		return nil, err
 	}
 	lap(&phases.Provision)
 
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
+	if trace == nil {
+		trace = azure.Generate(azure.TraceConfig{
+			TotalRPS: wl.RPS,
+			Duration: des.Time(wl.Duration),
+			Loads:    experiments.Loads(specs, wl.Weights),
+			Seed:     wl.Seed,
+		})
 	}
-	loads := azure.DefaultLoads(names)
-	for i := range loads {
-		if w, ok := wl.Weights[loads[i].Function]; ok {
-			loads[i].Weight = w
-		}
-	}
-	trace := azure.Generate(azure.TraceConfig{
-		TotalRPS: wl.RPS,
-		Duration: des.Time(wl.Duration),
-		Loads:    loads,
-		Seed:     wl.Seed,
-	})
 
 	interrupted := false
 	if opts != nil && opts.OnSample != nil {
@@ -359,6 +347,30 @@ func RunWorkload(cfg Config, wl Workload, opts *RunOptions) (*RunReport, error) 
 		return report, ErrInterrupted
 	}
 	return report, nil
+}
+
+// explicitTrace converts Workload.Trace to porter arrivals (nil when
+// it is empty), rejecting an arrival the porter cannot replay: one
+// naming a function outside the mix, or one before time zero.
+func explicitTrace(arrivals []Arrival, specs []faas.Spec) ([]azure.Request, error) {
+	if len(arrivals) == 0 {
+		return nil, nil
+	}
+	mix := make(map[string]bool, len(specs))
+	for _, s := range specs {
+		mix[s.Name] = true
+	}
+	trace := make([]azure.Request, len(arrivals))
+	for i, a := range arrivals {
+		if !mix[a.Function] {
+			return nil, fmt.Errorf("cxlfork: trace arrival %d names function %q outside the workload mix", i, a.Function)
+		}
+		if a.At < 0 {
+			return nil, fmt.Errorf("cxlfork: trace arrival %d at %v is before time zero", i, a.At)
+		}
+		trace[i] = azure.Request{At: des.Time(a.At), Function: a.Function}
+	}
+	return trace, nil
 }
 
 func alertEvent(a telemetry.Alert) AlertEvent {
