@@ -24,14 +24,6 @@ func BenchmarkPageLRUThrash(b *testing.B) {
 	}
 }
 
-func BenchmarkSetAssocAccess(b *testing.B) {
-	c := NewSetAssoc(1<<20, 64, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i*64) % (4 << 20))
-	}
-}
-
 // BenchmarkPageLRUUniform mirrors the LLC under a large function: a
 // 64 MiB cache of 4 KiB pages probed uniformly over 160K pages, so
 // about nine accesses in ten miss and evict.

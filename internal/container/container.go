@@ -7,128 +7,34 @@ import (
 	"cxlfork/internal/memsim"
 )
 
-// State is a container's lifecycle state.
-type State int
-
-// Container states.
-const (
-	// Ghost is a configured but empty container (no function inside).
-	Ghost State = iota
-	// Running hosts a live function instance.
-	Running
-	// Dead has been torn down.
-	Dead
-)
-
-func (s State) String() string {
-	switch s {
-	case Ghost:
-		return "ghost"
-	case Running:
-		return "running"
-	default:
-		return "dead"
-	}
-}
-
-// Container is one sandbox on a node.
-type Container struct {
-	ID    string
-	Node  *kernel.OS
-	State State
-	// NetNS and Cgroup are the sandbox's namespaces; a function restored
-	// into the container inherits them (paper §4.2).
-	NetNS  string
-	Cgroup string
-
-	frames []*memsim.Frame // fixed sandbox overhead (512 KB)
-}
-
-// Runtime creates and tracks containers on one node.
+// Runtime creates containers on one node.
 type Runtime struct {
 	Node *kernel.OS
-	seq  int
-	live map[string]*Container
 }
 
 // NewRuntime returns a container runtime for a node.
 func NewRuntime(node *kernel.OS) *Runtime {
-	return &Runtime{Node: node, live: make(map[string]*Container)}
+	return &Runtime{Node: node}
 }
 
-// Live returns the number of live containers.
-func (r *Runtime) Live() int { return len(r.live) }
-
-// Create provisions a fresh container, charging the full container
-// creation cost and its fixed memory overhead.
-func (r *Runtime) Create() (*Container, error) {
+// Create provisions a fresh ghost container, charging the full
+// container creation cost and its fixed memory overhead, which stays
+// allocated for the life of the node. When the node cannot hold the
+// overhead, Create releases what it took and charges nothing.
+func (r *Runtime) Create() error {
 	p := r.Node.P
-	r.seq++
-	c := &Container{
-		ID:     fmt.Sprintf("%s-ctr%d", r.Node.Name, r.seq),
-		Node:   r.Node,
-		State:  Ghost,
-		NetNS:  fmt.Sprintf("netns-%s-%d", r.Node.Name, r.seq),
-		Cgroup: fmt.Sprintf("/docker/%s-%d", r.Node.Name, r.seq),
-	}
+	var frames []*memsim.Frame
 	overheadPages := int(p.GhostContainerBytes) / p.PageSize
 	for i := 0; i < overheadPages; i++ {
 		f, err := r.Node.Mem.Alloc()
 		if err != nil {
-			for _, g := range c.frames {
+			for _, g := range frames {
 				r.Node.Mem.Put(g)
 			}
-			return nil, fmt.Errorf("container: %w", err)
+			return fmt.Errorf("container: %w", err)
 		}
-		c.frames = append(c.frames, f)
+		frames = append(frames, f)
 	}
 	r.Node.Eng.Advance(p.ContainerCreate)
-	r.live[c.ID] = c
-	return c, nil
-}
-
-// Trigger signals a ghost container's control socket so it issues a
-// restore request, charging the (small) trigger cost. The task created
-// for the restore should then call Deploy.
-func (c *Container) Trigger() error {
-	if c.State != Ghost {
-		return fmt.Errorf("container %s: trigger in state %v", c.ID, c.State)
-	}
-	c.Node.Eng.Advance(c.Node.P.GhostContainerTrigger)
 	return nil
-}
-
-// Deploy places a task inside the container: the task adopts the
-// container's network namespace and cgroup (reconfigurable state is
-// inherited from the restore caller, §4.2).
-func (c *Container) Deploy(task *kernel.Task) error {
-	if c.State != Ghost {
-		return fmt.Errorf("container %s: deploy in state %v", c.ID, c.State)
-	}
-	task.NS.NetNS = c.NetNS
-	task.NS.Cgroup = c.Cgroup
-	c.State = Running
-	return nil
-}
-
-// Recycle returns a running container to the ghost state (the function
-// inside has exited; the sandbox is reusable).
-func (c *Container) Recycle() {
-	if c.State == Running {
-		c.State = Ghost
-	}
-}
-
-// Destroy tears the container down, releasing its fixed overhead. The
-// runtime that created it forgets it.
-func (r *Runtime) Destroy(c *Container) {
-	if c.State == Dead {
-		return
-	}
-	c.State = Dead
-	for _, f := range c.frames {
-		r.Node.Mem.Put(f)
-	}
-	c.frames = nil
-	delete(r.live, c.ID)
 }

@@ -10,20 +10,19 @@ import (
 	"cxlfork/internal/params"
 )
 
-func node(t *testing.T) *kernel.OS {
+func node(t *testing.T, dram int64) *kernel.OS {
 	t.Helper()
 	p := params.Default()
-	p.NodeDRAMBytes = 16 << 20
+	p.NodeDRAMBytes = dram
 	p.CXLBytes = 16 << 20
 	return kernel.NewOS("n0", p, des.NewEngine(), cxl.NewDevice(p), fsim.NewFS(), p.NodeDRAMBytes)
 }
 
 func TestCreateChargesAndAllocates(t *testing.T) {
-	o := node(t)
+	o := node(t, 16<<20)
 	rt := NewRuntime(o)
 	before := o.Eng.Now()
-	c, err := rt.Create()
-	if err != nil {
+	if err := rt.Create(); err != nil {
 		t.Fatal(err)
 	}
 	if o.Eng.Now()-before != o.P.ContainerCreate {
@@ -33,83 +32,26 @@ func TestCreateChargesAndAllocates(t *testing.T) {
 	if o.Mem.UsedPages() != wantPages {
 		t.Fatalf("ghost occupies %d pages, want %d (512KB)", o.Mem.UsedPages(), wantPages)
 	}
-	if c.State != Ghost {
-		t.Fatalf("state = %v", c.State)
-	}
-	if rt.Live() != 1 {
-		t.Fatal("not tracked")
-	}
 }
 
-func TestDeployInheritsSandboxNamespaces(t *testing.T) {
-	o := node(t)
+// TestCreateRollsBackOnOOM fills a node that can hold one ghost but not
+// two: the failed Create must return every frame it took and charge no
+// time.
+func TestCreateRollsBackOnOOM(t *testing.T) {
+	p := params.Default()
+	o := node(t, p.GhostContainerBytes*3/2)
 	rt := NewRuntime(o)
-	c, _ := rt.Create()
-	if err := c.Trigger(); err != nil {
+	if err := rt.Create(); err != nil {
 		t.Fatal(err)
 	}
-	task := o.NewTask("fn")
-	if err := c.Deploy(task); err != nil {
-		t.Fatal(err)
+	used, before := o.Mem.UsedPages(), o.Eng.Now()
+	if err := rt.Create(); err == nil {
+		t.Fatal("second ghost fit in 1.5 ghosts of memory")
 	}
-	if task.NS.NetNS != c.NetNS || task.NS.Cgroup != c.Cgroup {
-		t.Fatal("task did not inherit container namespaces")
+	if o.Mem.UsedPages() != used {
+		t.Fatalf("failed create leaked %d pages", o.Mem.UsedPages()-used)
 	}
-	if c.State != Running {
-		t.Fatalf("state = %v", c.State)
-	}
-	// Deploy into a running container fails.
-	if err := c.Deploy(o.NewTask("fn2")); err == nil {
-		t.Fatal("double deploy accepted")
-	}
-	if err := c.Trigger(); err == nil {
-		t.Fatal("trigger on running container accepted")
-	}
-}
-
-func TestRecycle(t *testing.T) {
-	o := node(t)
-	rt := NewRuntime(o)
-	c, _ := rt.Create()
-	c.Trigger()
-	c.Deploy(o.NewTask("fn"))
-	c.Recycle()
-	if c.State != Ghost {
-		t.Fatal("recycle did not return to ghost")
-	}
-	// Reusable for the next restore.
-	if err := c.Trigger(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDestroyFreesOverhead(t *testing.T) {
-	o := node(t)
-	rt := NewRuntime(o)
-	c, _ := rt.Create()
-	rt.Destroy(c)
-	if o.Mem.UsedPages() != 0 {
-		t.Fatalf("leak: %d pages", o.Mem.UsedPages())
-	}
-	if rt.Live() != 0 || c.State != Dead {
-		t.Fatal("destroy incomplete")
-	}
-	rt.Destroy(c) // idempotent
-}
-
-func TestTriggerCost(t *testing.T) {
-	o := node(t)
-	rt := NewRuntime(o)
-	c, _ := rt.Create()
-	before := o.Eng.Now()
-	c.Trigger()
-	if o.Eng.Now()-before != o.P.GhostContainerTrigger {
-		t.Fatal("trigger cost wrong")
-	}
-}
-
-func TestStateString(t *testing.T) {
-	if Ghost.String() != "ghost" || Running.String() != "running" || Dead.String() != "dead" {
-		t.Fatal("state names wrong")
+	if o.Eng.Now() != before {
+		t.Fatalf("failed create charged %v", o.Eng.Now()-before)
 	}
 }

@@ -636,7 +636,7 @@ func (p *Porter) provision(s faas.Spec) error {
 				continue
 			}
 			for i := 0; i < p.cfg.GhostsPerFunction; i++ {
-				if _, err := n.rt.Create(); err != nil {
+				if err := n.rt.Create(); err != nil {
 					return err
 				}
 				n.ghosts[s.Name]++
