@@ -61,8 +61,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer f.Close()
-		if err := cxlfork.SaveTraceCSV(f, wl.Functions, wl.RPS, wl.Duration, wl.Seed); err != nil {
+		err = cxlfork.SaveTraceCSV(f, wl.Functions, wl.RPS, wl.Duration, wl.Seed)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("wrote trace to %s\n", *traceOut)

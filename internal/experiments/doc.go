@@ -7,5 +7,6 @@
 // Each driver is an exported function (Ckpt, Scale, Capacity, Faults,
 // Workflow, ...) taking params.Params and a config struct and returning
 // a result with a Render method; ExpParams is the shared platform
-// configuration.
+// configuration. Every porter replay, including cxlfork.RunWorkload's,
+// goes through replay.go: the Design table, Calibrate and Provision.
 package experiments

@@ -217,10 +217,11 @@ type Phases struct {
 	Replay time.Duration `json:"replay_ns"`
 }
 
-// RunWorkload replays one seeded arrival trace against a freshly built
-// cluster and returns its results — the facade's synchronous
-// capacity-planning entry point, and the exact runner behind every
-// cxlserved session (DESIGN.md §15). Construction is fully
+// RunWorkload replays one seeded arrival trace (or Workload.Trace)
+// against a freshly built cluster and returns its results — the
+// facade's synchronous capacity-planning entry point, and the exact
+// runner behind every cxlserved session and cmd/cxlporter run
+// (DESIGN.md §15). Construction is fully
 // session-scoped: the cluster, porter, calibration profiles, and
 // telemetry registry live and die with this call, so any number of
 // RunWorkload calls may run concurrently on independent goroutines.
